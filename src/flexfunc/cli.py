@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -24,7 +25,6 @@ from .dynamics import Schedule, integrate_ode, simulate_sde
 from .equilibria import certify_deterministic
 from .generator import (
     build_generator,
-    cdf_series,
     evolve_pdf,
     point_mass_pdf,
     spectral_gap,
@@ -118,6 +118,18 @@ def _stem(name: str) -> str:
     return name[:-4] if name.endswith(".csv") else name
 
 
+def _positive(block: dict, key: str, where: str):
+    """Optional positive finite number ``block[key]``; None when absent."""
+    value = block.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value > 0
+    ):
+        raise ConfigError(f'{where} "{key}" must be a positive number, got {value!r}')
+    return value
+
+
 def _schedule_from(block: dict) -> Schedule:
     sched = block.get("schedule")
     if sched is None:
@@ -183,8 +195,8 @@ def cmd_simulate(args) -> int:
     if mode not in ("ode", "sde"):
         raise ConfigError(f'simulate mode must be "ode" or "sde", got {mode!r}')
     schedule = _schedule_from(block)
-    dt = block.get("dt")
-    t_end = block.get("t_end")
+    dt = _positive(block, "dt", "simulate block")
+    t_end = _positive(block, "t_end", "simulate block")
     output = block.get("output", "simulate.csv")
     out = _out_dir(args)
     seed = int(_override(args.seed, cfg, "seed", 1234))
@@ -262,14 +274,11 @@ def cmd_density(args) -> int:
         if not isinstance(times, list) or not times:
             raise ConfigError('density block needs a nonempty "times" list for transient output')
         times = [float(t) for t in times]
+        series = evolve_pdf(gen, pdf0, times, dt=_positive(block, "dt", "density block"))
         if "transient" in write:
-            evolve_pdf(gen, pdf0, times, dt=block.get("dt")).to_csv(
-                out / f"{prefix}_transient.csv"
-            )
+            series.to_csv(out / f"{prefix}_transient.csv")
         if "cdf" in write:
-            cdf_series(gen, pdf0, times, dt=block.get("dt")).to_csv(
-                out / f"{prefix}_cdf.csv", value_label="cdf"
-            )
+            series.cumulative().to_csv(out / f"{prefix}_cdf.csv", value_label="cdf")
 
     pdf_inf = stationary_pdf(gen)
     if "stationary" in write:

@@ -162,28 +162,6 @@ def point_mass_pdf(grid: StateGrid, x0: float) -> np.ndarray:
     return pdf
 
 
-def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by the Thomas algorithm (no pivoting)."""
-    n = len(diag)
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal solve")
-    c[0] = sup[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if piv == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        if i < n - 1:
-            c[i] = sup[i] / piv
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return d
-
-
 @dataclass(frozen=True)
 class DistributionSeries:
     """Cell-center densities at a sequence of times."""
@@ -194,6 +172,10 @@ class DistributionSeries:
 
     def cdfs(self) -> np.ndarray:
         return np.cumsum(self.pdfs * self.grid.width, axis=1)
+
+    def cumulative(self) -> DistributionSeries:
+        """The same times with rows holding cumulative probabilities."""
+        return DistributionSeries(times=self.times, grid=self.grid, pdfs=self.cdfs())
 
     def to_csv(self, path, value_label: str = "pdf") -> None:
         xs = self.grid.centers
@@ -215,8 +197,15 @@ def evolve_pdf(
     Implicit one-step time stepping: (I - dt G^T) p_{new} = p.  The system
     matrix is an M-matrix, so every step conserves mass exactly (columns of
     G^T sum to zero) and preserves nonnegativity for any step size; the
-    stationary density is its exact fixed point.
+    stationary density is its exact fixed point.  LAPACK ``gttrf`` factors
+    the matrix once for ``dt`` and once per interval that needs a shorter
+    step; every step is one ``gttrs`` solve.  The matrix is strictly column
+    diagonally dominant, so partial pivoting never swaps rows and the factors
+    keep the M-matrix sign pattern.  A zero pivot raises ``ArithmeticError``.
     """
+    # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
@@ -237,10 +226,14 @@ def evolve_pdf(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    # bands of A = I - dt*G^T:  sub_A = -dt*up[:-1], sup_A = -dt*down[1:]
-    sub_a = -dt * gen.up[:-1]
-    sup_a = -dt * gen.down[1:]
-    diag_a = 1.0 - dt * gen.diag
+    def factor(step: float) -> list:
+        # bands of A = I - step*G^T:  sub_A = -step*up[:-1], sup_A = -step*down[1:]
+        *lu, info = dgttrf(-step * gen.up[:-1], 1.0 - step * gen.diag, -step * gen.down[1:])
+        if info != 0:
+            raise ArithmeticError(f"zero pivot {info} in the implicit step matrix")
+        return lu
+
+    lu_dt = factor(dt)
 
     p = pdf0 * h  # probabilities
     t_now = 0.0
@@ -250,14 +243,9 @@ def evolve_pdf(
         if span > 0.0:
             n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
             step = span / n_sub
-            if abs(step - dt) > 1e-12 * max(1.0, dt):
-                sj = -step * gen.up[:-1]
-                pj = -step * gen.down[1:]
-                dj = 1.0 - step * gen.diag
-            else:
-                sj, pj, dj = sub_a, sup_a, diag_a
+            lu = lu_dt if abs(step - dt) <= 1e-12 * max(1.0, dt) else factor(step)
             for _ in range(n_sub):
-                p = _thomas(sj, dj, pj, p)
+                p, _ = dgttrs(*lu, p, overwrite_b=1)
             t_now = t
         out[j] = p / h
     return DistributionSeries(times=times, grid=gen.grid, pdfs=out)
@@ -270,8 +258,7 @@ def cdf_series(
     dt: float | None = None,
 ) -> DistributionSeries:
     """Like :func:`evolve_pdf` but rows hold cumulative probabilities."""
-    series = evolve_pdf(gen, pdf0, times, dt=dt)
-    return DistributionSeries(times=series.times, grid=series.grid, pdfs=series.cdfs())
+    return evolve_pdf(gen, pdf0, times, dt=dt).cumulative()
 
 
 def stationary_pdf(gen: GeneratorMatrix) -> np.ndarray:
@@ -327,87 +314,28 @@ def _log_stationary(gen: GeneratorMatrix) -> np.ndarray:
     return logpi - logpi.max()
 
 
-def _sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below sigma."""
-    count = 0
-    d = diag[0] - sigma
-    if d == 0.0:
-        d = -1e-300
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = diag[i] - sigma - off[i - 1] ** 2 / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest", tol: float = 1e-8) -> float:
+def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
     """Nonzero eigenvalue of the generator governing relaxation.
 
     ``slowest`` (default) returns the least-negative nonzero eigenvalue,
     ``fastest`` the most negative one.  The chain is reversible, so the
     generator is symmetrized by the stationary measure into a tridiagonal
-    matrix with off-diagonal sqrt(up_i * down_{i+1}); a Sturm-sequence
-    bisection brackets the wanted eigenvalue and shifted inverse iteration
-    with the known zero-mode deflated polishes it to relative tolerance.
+    matrix with off-diagonal sqrt(up_i * down_{i+1}); LAPACK bisection
+    (``stebz`` via ``eigh_tridiagonal``) computes only the wanted eigenvalue,
+    index n-2 in ascending order (n-1 is the zero mode) or index 0.  A
+    bisection that fails to converge raises ``LinAlgError``.
     """
+    # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
+    from scipy.linalg import eigh_tridiagonal
+
     if mode not in ("slowest", "fastest"):
         raise ValueError(f"mode must be 'slowest' or 'fastest', got {mode!r}")
     if not gen.connected():
         raise ValueError("spectral gap undefined for a disconnected chain")
-    n = gen.n_cells
-    if n < 2:
-        raise ValueError("need at least two cells")
-    diag = gen.diag.copy()
+    k = gen.n_cells - 2 if mode == "slowest" else 0
     off = np.sqrt(gen.up[:-1] * gen.down[1:])
-
-    # Gershgorin lower bound
-    rad = np.zeros(n)
-    rad[:-1] += off
-    rad[1:] += off
-    lo_bound = float(np.min(diag - rad))
-    # wanted eigenvalue in ascending order (0 is the n-th)
-    want = n - 1 if mode == "slowest" else 1
-    lo, hi = lo_bound, 0.0
-    scale = max(abs(lo_bound), 1.0)
-    while hi - lo > 1e-10 * scale:
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(diag, off, mid) >= want:
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-
-    # deflate the exact zero mode: sqrt of the stationary measure
-    q = np.exp(0.5 * _log_stationary(gen))
-    q /= np.linalg.norm(q)
-
-    rng_local = np.random.Generator(np.random.Philox(key=np.array([7, 11], dtype=np.uint64)))
-    v = rng_local.standard_normal(n)
-    v -= q * (q @ v)
-    v /= np.linalg.norm(v)
-    shift = lam
-    prev = np.inf
-    for _ in range(60):
-        try:
-            w = _thomas(off, diag - shift, off, v)
-        except ZeroDivisionError:
-            shift += 1e-12 * scale
-            continue
-        w -= q * (q @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0 or not np.isfinite(norm):
-            shift += 1e-10 * scale
-            continue
-        v = w / norm
-        rq = float(v @ (diag * v) + 2.0 * np.dot(off, v[:-1] * v[1:]))
-        if abs(rq - prev) <= tol * max(abs(rq), 1e-30):
-            return rq
-        prev = rq
-    return prev if np.isfinite(prev) else lam
+    lam = eigh_tridiagonal(gen.diag, off, eigvals_only=True, select="i", select_range=(k, k))
+    return float(lam[0])
 
 
 def write_stationary_csv(path, grid: StateGrid, pdf: np.ndarray) -> None:

@@ -10,7 +10,6 @@ draw-count per path fixed (no rejection step).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _U64_MAX = 2**64 - 1
 
@@ -23,6 +22,9 @@ def check_seed(seed: int) -> int:
 
 def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:
     """``n`` standard normal draws from the stream of one path."""
+    # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
+    from scipy.special import ndtri
+
     key = np.array([check_seed(master_seed), check_seed(path_index)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     ints = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)

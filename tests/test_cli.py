@@ -241,6 +241,56 @@ def test_density_full_outputs(tmp_path):
     assert info["spectral_gap"] < 0.0
 
 
+def test_density_evolves_once_for_transient_and_cdf(tmp_path, monkeypatch):
+    import flexfunc.cli as cli
+    from flexfunc import generator
+    from flexfunc.generator import build_generator, cdf_series, point_mass_pdf
+    from flexfunc.model import FlexParams
+
+    calls = []
+    evolve_pdf = generator.evolve_pdf
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return evolve_pdf(*args, **kwargs)
+
+    for module in (cli, generator):
+        monkeypatch.setattr(module, "evolve_pdf", counting_evolve)
+    body = {
+        "params": REF_PARAMS,
+        "density": {
+            "u": 0.2,
+            "B": 0.4,
+            "n_cells": 32,
+            "times": [0.5, 1.5],
+            "write": ["transient", "cdf"],
+            "prefix": "d",
+        },
+    }
+    cfg = cfg_file(tmp_path, body)
+    assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    gen = build_generator(FlexParams.from_dict(REF_PARAMS), 0.2, 0.4, n_cells=32)
+    cdf_series(gen, point_mass_pdf(gen.grid, 0.5), [0.5, 1.5]).to_csv(
+        tmp_path / "ref_cdf.csv", value_label="cdf"
+    )
+    assert (tmp_path / "d_cdf.csv").read_bytes() == (tmp_path / "ref_cdf.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0.1", -0.1, [0.1], True])
+@pytest.mark.parametrize("command,key", [("density", "dt"), ("simulate", "dt"), ("simulate", "t_end")])
+def test_bad_step_or_horizon_is_config_error(tmp_path, command, key, value, capsys):
+    blocks = {
+        "density": {"u": 0.2, "B": 0.4, "n_cells": 32, "times": [0.5]},
+        "simulate": {"mode": "ode", "x0": 0.5, "schedule": {"u": 0.5, "B": 0.4}, "t_end": 1.0},
+    }
+    block = dict(blocks[command], **{key: value})
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f'"{key}" must be a positive number' in capsys.readouterr().err
+
+
 def test_density_needs_times_for_transient(tmp_path, capsys):
     body = {
         "params": REF_PARAMS,
@@ -463,3 +513,15 @@ def test_sde_byte_determinism_subprocess(tmp_path):
             + (out / "det_path01.csv").read_bytes()
         )
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # scipy.special and scipy.linalg load on first use: eager imports cost
+    # every command ~25 MB of peak memory and ~0.3 s of start-up
+    code = (
+        "import sys, flexfunc.cli; "
+        "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

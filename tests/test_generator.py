@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexfunc import generator, model
 from flexfunc.equilibria import solve_equilibrium
@@ -210,3 +212,44 @@ def test_series_csv_label(tmp_path, gen):
     path = tmp_path / "cdf.csv"
     series.to_csv(path, value_label="cdf")
     assert path.read_text().splitlines()[0] == "t,x,cdf"
+
+
+# Independent dense oracles over random admissible (u, B, sigma_x, n_cells).
+_draws = dict(
+    u=st.floats(0.0, 1.0),
+    B=st.floats(0.0, 1.0),
+    sigma_x=st.floats(0.01, 1.0),
+    n_cells=st.integers(16, 300),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_draws)
+def test_spectral_gap_matches_dense_eigvalsh(u, B, sigma_x, n_cells):
+    g = build_generator(reference_params(sigma_x), u, B, n_cells=n_cells)
+    assume(g.connected())
+    off = np.sqrt(g.up[:-1] * g.down[1:])
+    ev = np.linalg.eigvalsh(np.diag(g.diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert generator.spectral_gap(g) == pytest.approx(ev[-2], rel=1e-8)
+    assert generator.spectral_gap(g, mode="fastest") == pytest.approx(ev[0], rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **_draws,
+    x0=st.floats(0.0, 1.0),
+    dt=st.floats(1e-3, 2.0),
+    n_steps=st.integers(1, 4),
+)
+def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, n_steps):
+    g = build_generator(reference_params(sigma_x), u, B, n_cells=n_cells)
+    pdf0 = generator.point_mass_pdf(g.grid, x0)
+    series = generator.evolve_pdf(g, pdf0, dt * np.arange(1, n_steps + 1), dt=dt)
+    h = g.grid.width
+    a = np.eye(n_cells) - dt * g.dense().T
+    p = pdf0 * h
+    for row in series.pdfs:
+        p = np.linalg.solve(a, p)
+        assert np.max(np.abs(row * h - p)) < 1e-12
+        assert abs(row.sum() * h - 1.0) < 1e-12
+        assert row.min() >= 0.0
