@@ -130,6 +130,21 @@ def _positive(block: dict, key: str, where: str):
     return value
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)`` for a config value; a value of the wrong type is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _numbers(values, name: str, kind=float) -> list:
+    """Each entry of the config list ``values`` through :func:`_number`."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(v, f"{name}[{i}]", kind) for i, v in enumerate(values)]
+
+
 def _schedule_from(block: dict) -> Schedule:
     sched = block.get("schedule")
     if sched is None:
@@ -140,25 +155,28 @@ def _schedule_from(block: dict) -> Schedule:
             if key not in sched:
                 raise ConfigError(f'piecewise schedule needs "{key}"')
         return Schedule(
-            breakpoints=tuple(sched["breakpoints"]),
-            u_values=tuple(sched["u_values"]),
-            B_values=tuple(sched["B_values"]),
+            breakpoints=_numbers(sched["breakpoints"], 'schedule "breakpoints"'),
+            u_values=_numbers(sched["u_values"], 'schedule "u_values"'),
+            B_values=_numbers(sched["B_values"], 'schedule "B_values"'),
         )
     if "u" not in sched or "B" not in sched:
         raise ConfigError('schedule needs either constant "u"/"B" or a piecewise triple')
-    return Schedule.constant(float(sched["u"]), float(sched["B"]))
+    return Schedule.constant(
+        _number(sched["u"], 'schedule "u"'), _number(sched["B"], 'schedule "B"')
+    )
 
 
 def _grid_values(spec, where: str) -> list[float]:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{where} must not be empty")
-        return [float(v) for v in spec]
+        return _numbers(spec, where)
     if isinstance(spec, dict):
         _check_keys(spec, {"start", "stop", "count"}, where)
         try:
-            count = int(spec["count"])
-            start, stop = float(spec["start"]), float(spec["stop"])
+            count = _number(spec["count"], f'{where} "count"', int)
+            start = _number(spec["start"], f'{where} "start"')
+            stop = _number(spec["stop"], f'{where} "stop"')
         except KeyError as exc:
             raise ConfigError(f"{where} needs start/stop/count") from exc
         if count < 1:
@@ -199,11 +217,14 @@ def cmd_simulate(args) -> int:
     t_end = _positive(block, "t_end", "simulate block")
     output = block.get("output", "simulate.csv")
     out = _out_dir(args)
-    seed = int(_override(args.seed, cfg, "seed", 1234))
-    threads = int(_override(args.threads, cfg, "threads", 1))
+    seed = _number(_override(args.seed, cfg, "seed", 1234), '"seed"', int)
+    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
 
     x0_spec = block.get("x0", 0.5)
-    x0_list = [float(v) for v in x0_spec] if isinstance(x0_spec, list) else [float(x0_spec)]
+    if isinstance(x0_spec, list):
+        x0_list = _numbers(x0_spec, 'simulate "x0"')
+    else:
+        x0_list = [_number(x0_spec, 'simulate "x0"')]
     if not x0_list:
         raise ConfigError("x0 list must not be empty")
 
@@ -222,7 +243,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"sde mode needs integer n_paths >= 1, got {n_paths!r}")
     if len(x0_list) != 1:
         raise ConfigError("sde mode takes a single x0")
-    sample = int(block.get("sample_paths", 0))
+    sample = _number(block.get("sample_paths", 0), 'simulate "sample_paths"', int)
     if sample < 0 or sample > n_paths:
         raise ConfigError("sample_paths must be between 0 and n_paths")
     ens = simulate_sde(
@@ -248,8 +269,9 @@ def cmd_density(args) -> int:
     for key in ("u", "B"):
         if key not in block:
             raise ConfigError(f'density block needs "{key}"')
-    u, B = float(block["u"]), float(block["B"])
-    n_cells = int(block.get("n_cells", 200))
+    u = _number(block["u"], 'density "u"')
+    B = _number(block["B"], 'density "B"')
+    n_cells = _number(block.get("n_cells", 200), 'density "n_cells"', int)
     prefix = block.get("prefix", "density")
     write = block.get("write", ["transient", "stationary"])
     if not isinstance(write, list) or set(write) - {"transient", "cdf", "stationary"}:
@@ -263,7 +285,7 @@ def cmd_density(args) -> int:
     _check_keys(initial, {"kind", "x"}, '"initial"')
     kind = initial.get("kind")
     if kind == "point":
-        pdf0 = point_mass_pdf(gen.grid, float(initial.get("x", 0.5)))
+        pdf0 = point_mass_pdf(gen.grid, _number(initial.get("x", 0.5), 'initial "x"'))
     elif kind == "uniform":
         pdf0 = np.full(n_cells, 1.0)
     else:
@@ -273,7 +295,7 @@ def cmd_density(args) -> int:
         times = block.get("times")
         if not isinstance(times, list) or not times:
             raise ConfigError('density block needs a nonempty "times" list for transient output')
-        times = [float(t) for t in times]
+        times = _numbers(times, 'density "times"')
         series = evolve_pdf(gen, pdf0, times, dt=_positive(block, "dt", "density block"))
         if "transient" in write:
             series.to_csv(out / f"{prefix}_transient.csv")
@@ -317,10 +339,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f'sweep block needs "{key}"')
     us = _grid_values(block["u_values"], "u_values")
     bs = _grid_values(block["B_values"], "B_values")
-    n_cells = int(block.get("n_cells", 200))
+    n_cells = _number(block.get("n_cells", 200), 'sweep "n_cells"', int)
     eigen_mode = _override(args.eigen_mode, block, "eigen_mode", "slowest")
     output = block.get("output", "sweep.csv")
-    threads = int(_override(args.threads, cfg, "threads", 1))
+    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
     out = _out_dir(args)
 
     points = [(u, B) for u in us for B in bs]  # u-major row order
@@ -351,11 +373,11 @@ def cmd_certify(args) -> int:
     for key in ("u_star", "B_star"):
         if key not in block:
             raise ConfigError(f'certify block needs "{key}"')
-    u_star = float(block["u_star"])
-    B_star = float(block["B_star"])
-    theta = float(block.get("theta", 0.5))
-    target_radius = float(block.get("target_radius", 1.0))
-    grid_n = int(block.get("grid_n", 2001))
+    u_star = _number(block["u_star"], 'certify "u_star"')
+    B_star = _number(block["B_star"], 'certify "B_star"')
+    theta = _number(block.get("theta", 0.5), 'certify "theta"')
+    target_radius = _number(block.get("target_radius", 1.0), 'certify "target_radius"')
+    grid_n = _number(block.get("grid_n", 2001), 'certify "grid_n"', int)
     output = block.get("output", "certificates.json")
     out = _out_dir(args)
 
@@ -410,38 +432,38 @@ def cmd_examples(args) -> int:
     )
     if not isinstance(systems, list) or not systems:
         raise ConfigError('"systems" must be a nonempty list')
-    omega = float(block.get("omega", 1.0))
-    t_end = float(block.get("t_end", 1.0))
-    n_steps = int(block.get("n_steps", 256))
-    mean_dt = float(block.get("mean_dt", 0.01))
+    omega = _number(block.get("omega", 1.0), 'examples "omega"')
+    t_end = _number(block.get("t_end", 1.0), 'examples "t_end"')
+    n_steps = _number(block.get("n_steps", 256), 'examples "n_steps"', int)
+    mean_dt = _number(block.get("mean_dt", 0.01), 'examples "mean_dt"')
     prefix = block.get("prefix", "examples")
-    seed = int(_override(args.seed, cfg, "seed", 1234))
+    seed = _number(_override(args.seed, cfg, "seed", 1234), '"seed"', int)
     out = _out_dir(args)
 
-    for i, sys_spec in enumerate(systems, start=1):
-        _check_keys(sys_spec, {"r1", "r2", "x0"}, f"systems[{i - 1}]")
-        bp = bilinear.BilinearParams(
-            r1=float(sys_spec.get("r1", 1.0)),
-            r2=float(sys_spec.get("r2", -1.2)),
-            x0=float(sys_spec.get("x0", 1.0)),
+    toys = []
+    for i, sys_spec in enumerate(systems):
+        where = f"systems[{i}]"
+        _check_keys(sys_spec, {"r1", "r2", "x0"}, where)
+        toys.append(
+            bilinear.BilinearParams(
+                r1=_number(sys_spec.get("r1", 1.0), f'{where} "r1"'),
+                r2=_number(sys_spec.get("r2", -1.2), f'{where} "r2"'),
+                x0=_number(sys_spec.get("x0", 1.0), f'{where} "x0"'),
+            )
         )
+    for i, bp in enumerate(toys, start=1):
         bilinear.mean_ode(bp, omega, mean_dt, t_end).to_csv(out / f"{prefix}_system{i}_mean.csv")
         times, x_em, x_exact = bilinear.demo_paths(bp, t_end, n_steps, master_seed=seed + i)
         bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", times, x_em, x_exact)
 
     conv = block.get("convergence", {})
     _check_keys(conv, {"dts", "n_paths", "t_end"}, '"convergence"')
-    bp0 = bilinear.BilinearParams(
-        r1=float(systems[0].get("r1", 1.0)),
-        r2=float(systems[0].get("r2", -1.2)),
-        x0=float(systems[0].get("x0", 1.0)),
-    )
     study = bilinear.strong_convergence_study(
-        bp0,
-        dts=[float(d) for d in conv["dts"]] if "dts" in conv else bilinear._DEFAULT_DTS,
-        n_paths=int(conv.get("n_paths", 1000)),
+        toys[0],
+        dts=_numbers(conv["dts"], 'convergence "dts"') if "dts" in conv else bilinear._DEFAULT_DTS,
+        n_paths=_number(conv.get("n_paths", 1000), 'convergence "n_paths"', int),
         master_seed=seed,
-        t_end=float(conv.get("t_end", 1.0)),
+        t_end=_number(conv.get("t_end", 1.0), 'convergence "t_end"'),
     )
     study.to_csv(out / f"{prefix}_convergence.csv")
     print(f"wrote {len(systems)} system(s) and convergence table to {out}")

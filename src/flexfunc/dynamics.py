@@ -15,12 +15,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .model import FlexParams, demand, price_response
+from .model import (
+    FlexParams,
+    charge_response,
+    demand_deviation,
+    logistic_response,
+    price_response,
+)
 
 _BLOCK = 1024  # paths per work block; fixed so results never depend on threads
 
@@ -93,7 +99,6 @@ class Ensemble:
     master_seed: int
     pre_clamp_min: float
     pre_clamp_max: float
-    path_keys: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
     @property
     def n_paths(self) -> int:
@@ -179,7 +184,10 @@ def integrate_ode(
 
     The horizon is rounded to a whole number of steps.  States are clamped
     to [0, 1] after each step; stage evaluations may transiently poke
-    outside, which the responses tolerate.
+    outside, which the responses tolerate.  The demand column is computed
+    in one array pass from the per-segment g(u) table, so the price
+    response is evaluated once per schedule segment, not once per time
+    point.
     """
     x = _check_x0(x0)
     dt, times = _grid(params, dt, t_end)
@@ -205,8 +213,11 @@ def integrate_ode(
             raise RuntimeError(f"numerical failure: non-finite state at t={t + dt}")
         x = min(1.0, max(0.0, x))
         states[i + 1] = x
-    u_b = [schedule.value_at(float(t)) for t in times]
-    demands = np.array([demand(params, s, u, b) for s, (u, b) in zip(states, u_b)])
+    seg = np.searchsorted(bp, times, side="right") - 1
+    g_t = np.asarray(g_seg)[seg]
+    B_t = np.asarray(B_seg)[seg]
+    delta = logistic_response(params, charge_response(params, states) + g_t)
+    demands = B_t + demand_deviation(params, delta, B_t)
     return Trajectory(times=times, states=states, demands=demands)
 
 
@@ -283,7 +294,6 @@ def simulate_sde(
         master_seed=int(master_seed),
         pre_clamp_min=float(extremes[:, 0].min()),
         pre_clamp_max=float(extremes[:, 1].max()),
-        path_keys=tuple((int(master_seed), p) for p in range(min(n_paths, 4))),
     )
 
 

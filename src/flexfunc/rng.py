@@ -30,11 +30,3 @@ def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:
     ints = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
     u = (ints.astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
-
-
-def path_uniforms(master_seed: int, path_index: int, n: int) -> np.ndarray:
-    """``n`` open-interval (0, 1) uniforms from the stream of one path."""
-    key = np.array([check_seed(master_seed), check_seed(path_index)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    ints = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-    return (ints.astype(np.float64) + 0.5) * 2.0**-53

@@ -291,6 +291,31 @@ def test_bad_step_or_horizon_is_config_error(tmp_path, command, key, value, caps
     assert f'"{key}" must be a positive number' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,block,key",
+    [
+        ("density", {"u": 0.2, "B": 0.4, "n_cells": 32, "times": [1.0, None]}, "times"),
+        ("density", {"u": 0.2, "B": 0.4, "n_cells": None, "write": ["stationary"]}, "n_cells"),
+        ("simulate", {"mode": "ode", "schedule": {"u": [0.5], "B": 0.4}, "t_end": 1.0}, "u"),
+        (
+            "simulate",
+            {
+                "mode": "ode",
+                "schedule": {"breakpoints": [0.0, None], "u_values": [0.1, 0.9], "B_values": [0.4, 0.4]},
+                "t_end": 1.0,
+            },
+            "breakpoints",
+        ),
+        ("certify", {"u_star": 0.0, "B_star": 0.4, "grid_n": None}, "grid_n"),
+    ],
+)
+def test_wrong_json_type_is_config_error(tmp_path, command, block, key, capsys):
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f'"{key}"' in err and "must be a number" in err
+
+
 def test_density_needs_times_for_transient(tmp_path, capsys):
     body = {
         "params": REF_PARAMS,

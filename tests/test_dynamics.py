@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from flexfunc import dynamics, equilibria, model, rng
 from flexfunc.dynamics import Ensemble, Schedule
-from flexfunc.model import reference_params
+from flexfunc.model import FlexParams, reference_params
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +71,70 @@ def test_ode_default_grid(p):
     traj = dynamics.integrate_ode(p, 0.5, Schedule.constant(0.2, 0.4))
     assert traj.times[1] - traj.times[0] == pytest.approx(0.01 * p.C)
     assert traj.times[-1] == pytest.approx(20.0 * p.C)
-    assert traj.demands is not None
-    # demand column recomputes from the state
-    i = len(traj.times) // 2
-    assert traj.demands[i] == pytest.approx(
-        model.demand(p, traj.states[i], 0.2, 0.4), abs=1e-12
+    # demand column recomputes from the state, bit for bit
+    assert np.array_equal(traj.demands, [model.demand(p, x, 0.2, 0.4) for x in traj.states])
+
+
+@st.composite
+def _admissible_params(draw):
+    shape = np.array([draw(st.floats(0.01, 1.0)) for _ in range(3)])
+    weights = np.array([draw(st.floats(0.01, 1.0)) for _ in range(7)])
+    params = FlexParams(
+        C=draw(st.floats(0.5, 5.0)),
+        lam=draw(st.floats(0.05, 1.0)),
+        k=draw(st.floats(0.5, 20.0)),
+        alpha=(draw(st.floats(-0.5, 0.5)), *(shape / shape.sum())),
+        beta=tuple(-2.0 * weights / weights.sum()),
     )
+    assume(model.validate(params, grid_n=101).ok)
+    return params
+
+
+@st.composite
+def _schedule_on_grid(draw, dt, n_steps):
+    """1-4 segments; inner breakpoints are grid times or arbitrary times."""
+    inner = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, n_steps).map(lambda i: i * dt),
+                st.floats(0.0, n_steps * dt, exclude_min=True),
+            ),
+            max_size=3,
+        )
+    )
+    breakpoints = [0.0, *sorted(set(inner))]
+    levels = st.lists(st.floats(0.0, 1.0), min_size=len(breakpoints), max_size=len(breakpoints))
+    return Schedule(breakpoints, draw(levels), draw(levels))
+
+
+@settings(max_examples=40)
+@given(st.data(), _admissible_params(), st.floats(0.0, 1.0), st.sampled_from([0.01, 0.05, 0.3]))
+def test_ode_demand_column_matches_scalar_demand(data, params, x0, dt):
+    n_steps = data.draw(st.integers(1, 200))
+    sched = data.draw(_schedule_on_grid(dt, n_steps))
+    traj = dynamics.integrate_ode(params, x0, sched, dt=dt, t_end=n_steps * dt)
+    want = [
+        model.demand(params, x, *sched.value_at(float(t)))
+        for x, t in zip(traj.states, traj.times)
+    ]
+    assert np.array_equal(traj.demands, want)
+
+
+def test_ode_prices_each_segment_once(p, monkeypatch):
+    # g(u) is constant per segment; a per-time-point evaluation, direct or
+    # through model.demand, would call the I-spline once per grid point
+    calls = []
+    price_response = model.price_response
+
+    def counting(params, u):
+        calls.append(u)
+        return price_response(params, u)
+
+    for module in (dynamics, model):
+        monkeypatch.setattr(module, "price_response", counting)
+    sched = Schedule(breakpoints=(0.0, 1.0, 2.5), u_values=(0.1, 0.7, 0.1), B_values=(0.4,) * 3)
+    dynamics.integrate_ode(p, 0.5, sched, dt=0.01, t_end=4.0)
+    assert len(calls) == len(sched.u_values)
 
 
 def test_ode_piecewise_schedule(p):
