@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .dynamics import Trajectory
+from ._csvio import write_csv
+from .dynamics import Trajectory, time_grid
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,6 @@ class BilinearParams:
         return self.r1 - 0.5 * self.r2**2
 
 
-def _time_grid(dt: float, t_end: float) -> np.ndarray:
-    if dt <= 0.0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
-    n = max(1, int(round(t_end / dt)))
-    return np.arange(n + 1) * dt
-
-
 def disturbed_ode(
     bp: BilinearParams,
     w: Callable[[float], float],
@@ -58,7 +52,7 @@ def disturbed_ode(
     t_end: float,
 ) -> Trajectory:
     """Fourth-order integration of dx/dt = r1 x + r2 x w(t)."""
-    times = _time_grid(dt, t_end)
+    times = time_grid(dt, t_end)
     xs = np.empty(len(times))
     x = float(bp.x0)
     xs[0] = x
@@ -110,10 +104,7 @@ class ConvergenceStudy:
     slope: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("dt,strong_error\n")
-            for dt, err in zip(self.dts, self.errors):
-                fh.write(f"{float(dt)!r},{float(err)!r}\n")
+        write_csv(path, "dt,strong_error", (self.dts, self.errors))
 
 
 _DEFAULT_DTS = tuple(2.0**-l for l in range(6, 13))
@@ -201,7 +192,4 @@ def demo_paths(
 
 
 def write_paths_csv(path, times: np.ndarray, x_em: np.ndarray, x_exact: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x_em,x_exact\n")
-        for t, a, b in zip(times, x_em, x_exact):
-            fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r}\n")
+    write_csv(path, "t,x_em,x_exact", (times, x_em, x_exact))

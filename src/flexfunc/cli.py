@@ -2,8 +2,10 @@
 
 One JSON config file drives each run; subcommands pick the block they
 need.  All outputs are CSV (single header row, full double precision) or
-JSON files under --out, deterministic given the config and master seed,
-byte-identical across repeated runs and across --threads settings.
+JSON files under --out, deterministic given the config and master seed
+and byte-identical across repeated runs.  ``--threads`` and the "threads"
+key are accepted and checked so that older configs keep working; they have
+no effect.
 
 Exit codes: 0 success, 1 validation or certificate failure, 2 usage or
 config error, 3 numerical failure.
@@ -15,13 +17,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import bilinear
-from .dynamics import Schedule, integrate_ode, simulate_sde
+from ._csvio import write_csv
+from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
 from .equilibria import certify_deterministic
 from .generator import (
     build_generator,
@@ -131,11 +133,16 @@ def _positive(block: dict, key: str, where: str):
 
 
 def _number(value, name: str, kind=float):
-    """``kind(value)`` for a config value; a value of the wrong type is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    """``kind(value)`` for a config value that must be a JSON number.
+
+    Booleans and other types are a ConfigError, and so, for ``kind=int``,
+    are fractional and non-finite values: they are never truncated.
+    """
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_number or (kind is int and value % 1 != 0):  # nan % 1 and inf % 1 are nan
+        what = "number with an integer value" if kind is int else "number"
+        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    return kind(value)
 
 
 def _numbers(values, name: str, kind=float) -> list:
@@ -143,6 +150,13 @@ def _numbers(values, name: str, kind=float) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
     return [_number(v, f"{name}[{i}]", kind) for i, v in enumerate(values)]
+
+
+def _check_threads(args, cfg: dict) -> None:
+    """``threads`` has no effect but must still be an integer >= 1."""
+    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
+    if threads < 1:
+        raise ConfigError(f'"threads" must be >= 1, got {threads}')
 
 
 def _schedule_from(block: dict) -> Schedule:
@@ -218,7 +232,7 @@ def cmd_simulate(args) -> int:
     output = block.get("output", "simulate.csv")
     out = _out_dir(args)
     seed = _number(_override(args.seed, cfg, "seed", 1234), '"seed"', int)
-    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
+    _check_threads(args, cfg)
 
     x0_spec = block.get("x0", 0.5)
     if isinstance(x0_spec, list):
@@ -238,20 +252,19 @@ def cmd_simulate(args) -> int:
         print(f"wrote {len(files)} trajectory file(s) to {out}")
         return EXIT_OK
 
-    n_paths = block.get("n_paths")
-    if not isinstance(n_paths, int) or n_paths < 1:
+    n_paths = _number(block.get("n_paths"), 'simulate "n_paths"', int)
+    if n_paths < 1:
         raise ConfigError(f"sde mode needs integer n_paths >= 1, got {n_paths!r}")
     if len(x0_list) != 1:
         raise ConfigError("sde mode takes a single x0")
     sample = _number(block.get("sample_paths", 0), 'simulate "sample_paths"', int)
     if sample < 0 or sample > n_paths:
         raise ConfigError("sample_paths must be between 0 and n_paths")
-    ens = simulate_sde(
-        params, x0_list[0], schedule, n_paths, master_seed=seed, dt=dt, t_end=t_end, threads=threads
-    )
+    ens = simulate_sde(params, x0_list[0], schedule, n_paths, master_seed=seed, dt=dt, t_end=t_end)
     ens.to_csv(out / f"{_stem(output)}_summary.csv")
     for i in range(sample):
-        ens.paths[i].to_csv(out / f"{_stem(output)}_path{i + 1:02d}.csv")
+        path = Trajectory(times=ens.times, states=ens.states[i])
+        path.to_csv(out / f"{_stem(output)}_path{i + 1:02d}.csv")
     print(f"wrote ensemble summary and {sample} sample path(s) to {out}")
     return EXIT_OK
 
@@ -322,12 +335,6 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(params: FlexParams, u: float, B: float, n_cells: int, eigen_mode: str):
-    gen = build_generator(params, u, B, n_cells=n_cells)
-    mean, var = stationary_moments(gen)
-    return u, B, mean, var, spectral_gap(gen, mode=eigen_mode)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     params = _config_params(cfg)
@@ -342,22 +349,15 @@ def cmd_sweep(args) -> int:
     n_cells = _number(block.get("n_cells", 200), 'sweep "n_cells"', int)
     eigen_mode = _override(args.eigen_mode, block, "eigen_mode", "slowest")
     output = block.get("output", "sweep.csv")
-    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
+    _check_threads(args, cfg)
     out = _out_dir(args)
 
-    points = [(u, B) for u in us for B in bs]  # u-major row order
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda p: _sweep_point(params, p[0], p[1], n_cells, eigen_mode), points)
-            )
-    else:
-        rows = [_sweep_point(params, u, B, n_cells, eigen_mode) for u, B in points]
-
-    with open(out / output, "w", encoding="utf-8") as fh:
-        fh.write("u,B,mean,var,gap\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = []
+    for u in us:  # u-major row order
+        for B in bs:
+            gen = build_generator(params, u, B, n_cells=n_cells)
+            rows.append((u, B, *stationary_moments(gen), spectral_gap(gen, mode=eigen_mode)))
+    write_csv(out / output, "u,B,mean,var,gap", zip(*rows))
     print(f"wrote {len(rows)} sweep rows to {out / output}")
     return EXIT_OK
 
@@ -482,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
+        p.add_argument(
+            "--threads", type=int, default=None, help="accepted for older scripts; no effect"
+        )
 
     p = sub.add_parser("validate", help="check a parameter set")
     common(p)

@@ -14,21 +14,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from ._csvio import write_csv
 from .model import (
     FlexParams,
     charge_response,
     demand_deviation,
+    diffusion,
     logistic_response,
     price_response,
 )
 
-_BLOCK = 1024  # paths per work block; fixed so results never depend on threads
+_BLOCK = 1024  # paths per noise buffer; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,10 @@ class Trajectory:
     demands: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if self.demands is None:
-                fh.write("t,x\n")
-                for t, x in zip(self.times, self.states):
-                    fh.write(f"{float(t)!r},{float(x)!r}\n")
-            else:
-                fh.write("t,x,d\n")
-                for t, x, d in zip(self.times, self.states, self.demands):
-                    fh.write(f"{float(t)!r},{float(x)!r},{float(d)!r}\n")
+        if self.demands is None:
+            write_csv(path, "t,x", (self.times, self.states))
+        else:
+            write_csv(path, "t,x,d", (self.times, self.states, self.demands))
 
 
 @dataclass(frozen=True)
@@ -108,46 +104,39 @@ class Ensemble:
     def terminal(self) -> np.ndarray:
         return self.states[:, -1]
 
-    @property
-    def paths(self) -> list[Trajectory]:
-        return [Trajectory(times=self.times, states=row) for row in self.states]
-
     def summary(self) -> dict[str, np.ndarray]:
+        q05, q50, q95 = np.quantile(self.states, [0.05, 0.50, 0.95], axis=0)
         return {
             "t": self.times,
             "mean": self.states.mean(axis=0),
             "var": self.states.var(axis=0),
-            "q05": np.quantile(self.states, 0.05, axis=0),
-            "q50": np.quantile(self.states, 0.50, axis=0),
-            "q95": np.quantile(self.states, 0.95, axis=0),
+            "q05": q05,
+            "q50": q50,
+            "q95": q95,
         }
 
     def to_csv(self, path) -> None:
         s = self.summary()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,mean,var,q05,q50,q95\n")
-            for i in range(len(self.times)):
-                fh.write(
-                    ",".join(
-                        repr(float(col[i]))
-                        for col in (s["t"], s["mean"], s["var"], s["q05"], s["q50"], s["q95"])
-                    )
-                    + "\n"
-                )
+        write_csv(path, ",".join(s), s.values())
 
 
-def _grid(params: FlexParams, dt: float | None, t_end: float | None):
-    if dt is None:
-        dt = 0.01 * params.C
-    if t_end is None:
-        t_end = 20.0 * params.C
+def time_grid(dt: float, t_end: float) -> np.ndarray:
+    """Uniform times 0, dt, ..., n dt with the horizon rounded to n >= 1 steps."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if not (np.isfinite(t_end) and t_end >= dt):
         raise ValueError(f"t_end must be at least dt, got {t_end}")
     n_steps = max(1, int(round(t_end / dt)))
-    times = np.arange(n_steps + 1) * dt
-    return dt, times
+    return np.arange(n_steps + 1) * dt
+
+
+def _grid(params: FlexParams, dt: float | None, t_end: float | None):
+    """Step and time grid, defaulting to dt = 0.01 C and t_end = 20 C."""
+    if dt is None:
+        dt = 0.01 * params.C
+    if t_end is None:
+        t_end = 20.0 * params.C
+    return dt, time_grid(dt, t_end)
 
 
 def _check_x0(x0: float) -> float:
@@ -163,7 +152,19 @@ def _segment_tables(params: FlexParams, schedule: Schedule):
     return g_seg, list(schedule.B_values)
 
 
+def _inputs_at(schedule: Schedule, g_seg, B_seg, times: np.ndarray):
+    """g(u) and B of the schedule segment each of ``times`` falls in."""
+    seg = np.searchsorted(schedule.breakpoints, times, side="right") - 1
+    return np.asarray(g_seg)[seg], np.asarray(B_seg)[seg]
+
+
+def _deviation(params: FlexParams, x, g, B):
+    """Demand deviation dD at states ``x`` for price response ``g`` and baseline ``B``."""
+    return demand_deviation(params, logistic_response(params, charge_response(params, x) + g), B)
+
+
 def _drift_scalar(params: FlexParams, x: float, g: float, B: float) -> float:
+    """``_deviation(...) / C`` for one float state; the RK4 loop's fast path."""
     a1, a2, a3, a4 = params.alpha
     y = 2.0 * x - 1.0
     y2 = y * y
@@ -213,11 +214,8 @@ def integrate_ode(
             raise RuntimeError(f"numerical failure: non-finite state at t={t + dt}")
         x = min(1.0, max(0.0, x))
         states[i + 1] = x
-    seg = np.searchsorted(bp, times, side="right") - 1
-    g_t = np.asarray(g_seg)[seg]
-    B_t = np.asarray(B_seg)[seg]
-    delta = logistic_response(params, charge_response(params, states) + g_t)
-    demands = B_t + demand_deviation(params, delta, B_t)
+    g_t, B_t = _inputs_at(schedule, g_seg, B_seg, times)
+    demands = B_t + _deviation(params, states, g_t, B_t)
     return Trajectory(times=times, states=states, demands=demands)
 
 
@@ -229,83 +227,45 @@ def simulate_sde(
     master_seed: int,
     dt: float | None = None,
     t_end: float | None = None,
-    threads: int = 1,
 ) -> Ensemble:
     """Euler-Maruyama ensemble with per-path Philox streams.
 
     Path ``p`` draws all its increments from the stream keyed by
-    (master_seed, p), so the ensemble is bit-identical for any ``threads``.
-    Work is split into fixed-size path blocks and reassembled by index.
+    (master_seed, p).  Paths advance together in blocks of at most
+    ``_BLOCK``, which bounds the noise buffer; the drift is the same
+    array kernel that computes the ODE demand column.
     """
     x0 = _check_x0(x0)
     rng.check_seed(master_seed)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     dt, times = _grid(params, dt, t_end)
     n_steps = len(times) - 1
-    g_seg, B_seg = _segment_tables(params, schedule)
-    bp = schedule.breakpoints
-    seg_idx = np.array([bisect_right(bp, float(t)) - 1 for t in times[:-1]])
-    g_step = np.array([g_seg[j] for j in seg_idx])
-    B_step = np.array([B_seg[j] for j in seg_idx])
-
-    a1, a2, a3, a4 = params.alpha
-    lam, k, C, sig = params.lam, params.k, params.C, params.sigma_x
+    g_step, B_step = _inputs_at(schedule, *_segment_tables(params, schedule), times[:-1])
     sqdt = math.sqrt(dt)
 
     states = np.empty((n_paths, len(times)))
-    extremes = np.empty((int(np.ceil(n_paths / _BLOCK)), 2))
-
-    def run_block(b: int) -> None:
-        p0, p1 = b * _BLOCK, min((b + 1) * _BLOCK, n_paths)
+    lo, hi = x0, x0
+    for p0 in range(0, n_paths, _BLOCK):
+        p1 = min(p0 + _BLOCK, n_paths)
         z = np.empty((p1 - p0, n_steps))
         for p in range(p0, p1):
             z[p - p0] = rng.path_normals(master_seed, p, n_steps)
         x = np.full(p1 - p0, x0)
         states[p0:p1, 0] = x
-        lo, hi = x0, x0
         for i in range(n_steps):
-            y = 2.0 * x - 1.0
-            y2 = y * y
-            f = (-y + a1 * (1.0 - y2)) * (a2 + a3 * y2 + a4 * y2 * y2 * y2)
-            d = np.tanh(0.5 * k * (f + g_step[i]))
-            dd = lam * np.where(d >= 0.0, d * (1.0 - B_step[i]), d * B_step[i])
-            x = x + (dd / C) * dt + x * (1.0 - x) * sig * sqdt * z[:, i]
+            dd = _deviation(params, x, g_step[i], B_step[i])
+            x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * z[:, i]
             lo = min(lo, float(x.min()))
             hi = max(hi, float(x.max()))
             np.clip(x, 0.0, 1.0, out=x)
             states[p0:p1, i + 1] = x
         if not np.all(np.isfinite(x)):
             raise RuntimeError("numerical failure: non-finite state in ensemble")
-        extremes[b] = (lo, hi)
-
-    n_blocks = extremes.shape[0]
-    if threads == 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            run_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
     return Ensemble(
         times=times,
         states=states,
         master_seed=int(master_seed),
-        pre_clamp_min=float(extremes[:, 0].min()),
-        pre_clamp_max=float(extremes[:, 1].max()),
+        pre_clamp_min=lo,
+        pre_clamp_max=hi,
     )
-
-
-def ensemble_stats(ens: Ensemble, t: float, bins: int = 50) -> dict:
-    """Mean, variance and histogram of the ensemble at the grid time nearest t."""
-    idx = int(np.argmin(np.abs(ens.times - t)))
-    col = ens.states[:, idx]
-    counts, edges = np.histogram(col, bins=bins, range=(0.0, 1.0))
-    return {
-        "t": float(ens.times[idx]),
-        "mean": float(col.mean()),
-        "var": float(col.var()),
-        "hist": counts,
-        "edges": edges,
-    }

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import write_csv
 from .model import FlexParams, diffusion, drift
 
 
@@ -178,12 +179,10 @@ class DistributionSeries:
         return DistributionSeries(times=self.times, grid=self.grid, pdfs=self.cdfs())
 
     def to_csv(self, path, value_label: str = "pdf") -> None:
-        xs = self.grid.centers
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"t,x,{value_label}\n")
-            for t, row in zip(self.times, self.pdfs):
-                for x, p in zip(xs, row):
-                    fh.write(f"{float(t)!r},{float(x)!r},{float(p)!r}\n")
+        n_times, n_cells = self.pdfs.shape
+        t = np.repeat(self.times, n_cells)
+        x = np.tile(self.grid.centers, n_times)
+        write_csv(path, f"t,x,{value_label}", (t, x, self.pdfs.ravel()))
 
 
 def evolve_pdf(
@@ -339,7 +338,4 @@ def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
 
 
 def write_stationary_csv(path, grid: StateGrid, pdf: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,pdf\n")
-        for x, p in zip(grid.centers, pdf):
-            fh.write(f"{float(x)!r},{float(p)!r}\n")
+    write_csv(path, "x,pdf", (grid.centers, pdf))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from flexfunc.cli import main
+from flexfunc.cli import ConfigError, _number, main
 
 REF_PARAMS = {
     "C": 2.97,
@@ -291,6 +291,9 @@ def test_bad_step_or_horizon_is_config_error(tmp_path, command, key, value, caps
     assert f'"{key}" must be a positive number' in capsys.readouterr().err
 
 
+_SDE_BLOCK = {"mode": "sde", "schedule": {"u": 0.5, "B": 0.4}, "t_end": 0.3}
+
+
 @pytest.mark.parametrize(
     "command,block,key",
     [
@@ -307,6 +310,13 @@ def test_bad_step_or_horizon_is_config_error(tmp_path, command, key, value, caps
             "breakpoints",
         ),
         ("certify", {"u_star": 0.0, "B_star": 0.4, "grid_n": None}, "grid_n"),
+        # integer keys: fractions and booleans are refused, never truncated
+        ("density", {"u": 0.2, "B": 0.4, "n_cells": 32.9, "write": ["stationary"]}, "n_cells"),
+        ("certify", {"u_star": 0.0, "B_star": 0.4, "grid_n": True}, "grid_n"),
+        ("simulate", dict(_SDE_BLOCK, n_paths=True), "n_paths"),
+        ("simulate", dict(_SDE_BLOCK, n_paths=8.5), "n_paths"),
+        ("sweep", {"u_values": {"start": 0.1, "stop": 0.9, "count": 2.5}, "B_values": [0.5]}, "count"),
+        ("examples", {"n_steps": 64.5}, "n_steps"),
     ],
 )
 def test_wrong_json_type_is_config_error(tmp_path, command, block, key, capsys):
@@ -314,6 +324,24 @@ def test_wrong_json_type_is_config_error(tmp_path, command, block, key, capsys):
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f'"{key}"' in err and "must be a number" in err
+
+
+@pytest.mark.parametrize("value", [32.9, True, float("inf"), float("nan"), "32", None])
+def test_integer_config_value_is_never_truncated(value):
+    with pytest.raises(ConfigError, match="must be a number with an integer value"):
+        _number(value, '"n_cells"', int)
+    assert _number(32.0, '"n_cells"', int) == 32
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_threads_below_one_is_config_error(tmp_path, command, capsys):
+    blocks = {
+        "simulate": {"mode": "ode", "schedule": {"u": 0.5, "B": 0.4}, "t_end": 1.0},
+        "sweep": {"u_values": [0.5], "B_values": [0.5], "n_cells": 24},
+    }
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "threads": 0, command: blocks[command]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert '"threads" must be >= 1' in capsys.readouterr().err
 
 
 def test_density_needs_times_for_transient(tmp_path, capsys):
