@@ -14,6 +14,7 @@ config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,11 +71,36 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# Numeric entries of the params block and of its "basis" block: JSON numbers
+# (float or int) or lists of them (list).
+_PARAM_NUMBERS = {
+    "C": float, "lambda": float, "k": float, "g0": float, "sigma_x": float, "alpha": list, "beta": list
+}
+_BASIS_NUMBERS = {"order": int, "basis_count": int, "knots": list, "interior_knots": list}
+
+
 def _config_params(cfg: dict) -> FlexParams:
+    params = _numeric_block(cfg["params"], "params", _PARAM_NUMBERS)
+    if "basis" in params:
+        params["basis"] = _numeric_block(params["basis"], "params basis", _BASIS_NUMBERS)
     try:
-        return FlexParams.from_dict(cfg["params"])
+        return FlexParams.from_dict(params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
+
+
+def _numeric_block(block, where: str, kinds: dict) -> dict:
+    """Copy of the config object ``block`` with each key of ``kinds`` that it
+    holds checked by :func:`_numbers` (kind ``list``) or :func:`_number`."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    out = dict(block)
+    for key, kind in kinds.items():
+        if key in block:
+            name = f'{where} "{key}"'
+            value = block[key]
+            out[key] = _numbers(value, name) if kind is list else _number(value, name, kind)
+    return out
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -471,6 +497,7 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged; build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexfunc",

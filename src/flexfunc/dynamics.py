@@ -211,7 +211,7 @@ def integrate_ode(
         k4 = _drift_scalar(params, x + dt * k3, g_seg[j1], B_seg[j1])
         x += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(x):
-            raise RuntimeError(f"numerical failure: non-finite state at t={t + dt}")
+            raise RuntimeError(f"non-finite state at t={t + dt}")
         x = min(1.0, max(0.0, x))
         states[i + 1] = x
     g_t, B_t = _inputs_at(schedule, g_seg, B_seg, times)
@@ -261,7 +261,7 @@ def simulate_sde(
             np.clip(x, 0.0, 1.0, out=x)
             states[p0:p1, i + 1] = x
         if not np.all(np.isfinite(x)):
-            raise RuntimeError("numerical failure: non-finite state in ensemble")
+            raise RuntimeError("non-finite state in ensemble")
     return Ensemble(
         times=times,
         states=states,

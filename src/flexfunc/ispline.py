@@ -8,41 +8,42 @@ I-splines plus an intercept is the natural parameterization of a monotone
 decreasing response curve, which is how the price-response curve ``g`` is
 built elsewhere in this package.
 
-I-splines are evaluated in closed form through the telescoping sum over
-order ``k+1`` M-splines (Ramsay 1988, with the corrected index bounds), not
-by numeric quadrature.
+Every value comes from one B-spline kernel, :func:`_deboor`.  An M-spline
+is a scaled B-spline, and I-spline ``i`` is the sum of the order ``k+1``
+B-splines with index above ``i`` (Ramsay 1988), so a combination of
+I-splines is one order ``k+1`` spline whose coefficients are running sums
+of the weights.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
 
-def _mspline(i: int, order: int, x: float, knots: tuple[float, ...]) -> float:
-    """Value of the 1-based ``i``-th M-spline of ``order`` on ``knots`` at ``x``.
 
-    Uses the standard recursion; zero-width intervals contribute nothing.
-    ``x == 1`` is evaluated as a left limit so the density is defined on the
-    closed interval.
+def _deboor(knots, order: int, coefs, u) -> np.ndarray:
+    """Spline sum_m coefs[m] B_m(u) by de Boor's algorithm, vectorized over ``u``.
+
+    ``knots`` is a clamped knot vector of ``len(coefs) + order`` entries
+    and ``coefs`` may carry trailing columns, which come back as trailing
+    axes after the axis of ``u``.  Splines are right-continuous, except
+    that the right end of the domain is evaluated as a left limit.
     """
-    ti = knots[i - 1]
-    tik = knots[i + order - 1]
-    if order == 1:
-        if ti <= x < tik:
-            return 1.0 / (tik - ti)
-        # left-continuity at the right endpoint of the domain
-        if x == knots[-1] and ti < x <= tik:
-            return 1.0 / (tik - ti)
-        return 0.0
-    if tik == ti:
-        return 0.0
-    inside = ti <= x <= tik if x == knots[-1] else ti <= x < tik
-    if not inside:
-        return 0.0
-    a = (x - ti) * _mspline(i, order - 1, x, knots)
-    b = (tik - x) * _mspline(i + 1, order - 1, x, knots)
-    return order * (a + b) / ((order - 1) * (tik - ti))
+    t = np.asarray(knots, dtype=float)
+    c = np.asarray(coefs, dtype=float)
+    u = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
+    k = order
+    # span j with t[j] <= u < t[j+1]; the right end falls in the last span
+    j = k - 1 + np.searchsorted(t[k : len(c)], u, side="right")
+    idx = j + np.arange(1 - k, 1)  # the k coefficients acting on span j
+    d = c[idx]
+    trailing = (...,) + (None,) * (c.ndim - 1)
+    for s in range(1, k):
+        lo = t[idx[:, s:]]
+        a = ((u - lo) / (t[idx[:, s:] + k - s] - lo))[trailing]
+        d[:, s:] = (1.0 - a) * d[:, s - 1 : k - 1] + a * d[:, s:]
+    return d[:, k - 1]
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,6 @@ class ISplineBasis:
         )
         object.__setattr__(self, "basis_count", len(interior) + self.order)
 
-    # knot vector for the order+1 M-spline family used by the I-spline formula
-    @property
-    def _iknots(self) -> tuple[float, ...]:
-        k1 = self.order + 1
-        return (0.0,) * k1 + self.interior_knots + (1.0,) * k1
-
     def _check_args(self, i: int, u: float) -> None:
         if not 1 <= i <= self.basis_count:
             raise ValueError(
@@ -101,38 +96,38 @@ class ISplineBasis:
     def mspline_eval(self, i: int, u: float) -> float:
         """Density value of the ``i``-th (1-based) M-spline at ``u``."""
         self._check_args(i, u)
-        return _mspline(i, self.order, float(u), self.knots)
+        k, t = self.order, self.knots
+        width = t[i + k - 1] - t[i - 1]
+        bspline = _deboor(t, k, np.eye(self.basis_count)[i - 1], u)[0]
+        return float(k / width * bspline) if width else 0.0
 
     def ispline_eval(self, i: int, u: float) -> float:
-        """Integrated value of the ``i``-th basis function at ``u``.
-
-        Exact closed form: with ``T`` the order ``k+1`` knot vector and ``j``
-        the 1-based index with ``T_j <= u < T_{j+1}``,
-
-            I_i(u) = sum_{m=i+1}^{j} (T_{m+k+1} - T_m) M_m(u | k+1) / (k+1)
-
-        and I_i(u) is exactly 0 below the support and exactly 1 above it.
-        """
+        """Integrated value of the ``i``-th (1-based) basis function at ``u``."""
         self._check_args(i, u)
-        k = self.order
-        knots = self._iknots
-        u = float(u)
-        j = bisect_right(knots, u)
-        if i > j:
-            return 0.0
-        if i < j - k:
-            return 1.0
-        total = 0.0
-        for m in range(i + 1, j + 1):
-            width = knots[m + k] - knots[m - 1]
-            if width == 0.0:
-                continue
-            total += width * _mspline(m, k + 1, u, knots) / (k + 1)
-        return total
+        return float(self.rows(u)[0, i - 1])
+
+    def rows(self, u) -> np.ndarray:
+        """All I-spline values at each point of ``u``: shape ``(len(u), basis_count)``.
+
+        I_i is the sum of the order ``k+1`` B-splines with 0-based index at
+        least ``i``, so it is exactly 0 below its support and exactly 1
+        above it.
+        """
+        return self.spline(np.tri(self.basis_count + 1, self.basis_count, -1), u)
+
+    def spline(self, coefs, u) -> np.ndarray:
+        """sum_m coefs[m] B_m(u) over the order ``k+1`` B-splines, one entry
+        (or row) per point of ``u`` in [0, 1], flattened."""
+        u = np.asarray(u, dtype=float).ravel()
+        inside = (u >= 0.0) & (u <= 1.0)
+        if not inside.all():
+            raise ValueError(f"argument {u[~inside][0]} outside [0, 1]")
+        # the order k+1 knots: one more 0 and one more 1 than the order k ones
+        return _deboor((0.0, *self.knots, 1.0), self.order + 1, coefs, u)
 
     def basis_row(self, u: float) -> list[float]:
         """All I-spline values at ``u`` as a length ``basis_count`` list."""
-        return [self.ispline_eval(i, u) for i in range(1, self.basis_count + 1)]
+        return self.rows(u)[0].tolist()
 
     def to_dict(self) -> dict:
         return {

@@ -58,6 +58,8 @@ class FlexParams:
     basis: ISplineBasis = field(default_factory=ISplineBasis)
 
     def __post_init__(self) -> None:
+        for name in ("C", "lam", "k", "g0", "sigma_x"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
 
@@ -79,21 +81,7 @@ class FlexParams:
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "C" in data:
-            kwargs["C"] = float(data["C"])
-        if "lambda" in data:
-            kwargs["lam"] = float(data["lambda"])
-        if "k" in data:
-            kwargs["k"] = float(data["k"])
-        if "alpha" in data:
-            kwargs["alpha"] = tuple(float(a) for a in data["alpha"])
-        if "beta" in data:
-            kwargs["beta"] = tuple(float(b) for b in data["beta"])
-        if "g0" in data:
-            kwargs["g0"] = float(data["g0"])
-        if "sigma_x" in data:
-            kwargs["sigma_x"] = float(data["sigma_x"])
+        kwargs = {("lam" if key == "lambda" else key): value for key, value in data.items()}
         if "basis" in data:
             kwargs["basis"] = ISplineBasis.from_dict(data["basis"])
         return cls(**kwargs)
@@ -132,14 +120,16 @@ def charge_response(params: FlexParams, x):
 
 
 def price_response(params: FlexParams, u):
-    """Monotone decreasing price response g(u) = g0 + sum_i beta_i I_i(u)."""
+    """Monotone decreasing price response g(u) = g0 + sum_i beta_i I_i(u).
+
+    One order k+1 spline with coefficients g0 + [0, cumsum(beta)].
+    """
+    n = params.basis.basis_count
+    if len(params.beta) != n:
+        raise ValueError(f"beta has {len(params.beta)} entries but the basis has {n} functions")
     arr, scalar = _as_array(u)
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    for idx, ui in enumerate(flat):
-        row = params.basis.basis_row(float(ui))
-        out[idx] = params.g0 + sum(b * v for b, v in zip(params.beta, row))
-    out = out.reshape(arr.shape)
+    coefs = params.g0 + np.concatenate(([0.0], np.cumsum(params.beta)))
+    out = params.basis.spline(coefs, arr).reshape(arr.shape)
     return float(out) if scalar else out
 
 
@@ -226,6 +216,9 @@ def validate(params: FlexParams, grid_n: int = 1001) -> ValidationReport:
         rep.violations.append(f"k must be positive, got {p.k}")
     if not np.isfinite(p.sigma_x) or p.sigma_x < 0:
         rep.violations.append(f"sigma_x must be nonnegative, got {p.sigma_x}")
+    for name, value in (("alpha", p.alpha), ("beta", p.beta), ("g0", p.g0)):
+        if not np.all(np.isfinite(value)):
+            rep.violations.append(f"{name} must be finite, got {value}")
     if len(p.alpha) != 4:
         rep.violations.append(f"alpha must have 4 entries, got {len(p.alpha)}")
     else:

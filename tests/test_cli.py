@@ -317,13 +317,50 @@ _SDE_BLOCK = {"mode": "sde", "schedule": {"u": 0.5, "B": 0.4}, "t_end": 0.3}
         ("simulate", dict(_SDE_BLOCK, n_paths=8.5), "n_paths"),
         ("sweep", {"u_values": {"start": 0.1, "stop": 0.9, "count": 2.5}, "B_values": [0.5]}, "count"),
         ("examples", {"n_steps": 64.5}, "n_steps"),
+        # "validate" blocks are entries of the params block itself
+        ("validate", {"C": True}, "C"),
+        ("validate", {"lambda": "1"}, "lambda"),
+        ("validate", {"k": None}, "k"),
+        ("validate", {"g0": "1.0"}, "g0"),
+        ("validate", {"sigma_x": False}, "sigma_x"),
+        ("validate", {"alpha": [0.0, "0.25", 0.75, 0.0]}, "alpha"),
+        ("validate", {"beta": [-0.375, -0.1875, -0.0625, -0.0625, -0.125, -0.5, True]}, "beta"),
+        ("validate", {"basis": {"order": True}}, "order"),
+        ("validate", {"basis": {"basis_count": 7.5}}, "basis_count"),
+        ("validate", {"basis": {"interior_knots": [0.2, "0.4", 0.6, 0.8]}}, "interior_knots"),
+        ("validate", {"basis": {"knots": [0, 0, 0, 0.2, 0.4, 0.6, 0.8, 1, 1, True]}}, "knots"),
     ],
 )
 def test_wrong_json_type_is_config_error(tmp_path, command, block, key, capsys):
-    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block})
+    if command == "validate":
+        body = {"params": dict(REF_PARAMS, **block)}
+    else:
+        body = {"params": REF_PARAMS, command: block}
+    cfg = cfg_file(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f'"{key}"' in err and "must be a number" in err
+
+
+@pytest.mark.parametrize(
+    "entry", [{"alpha": "0123"}, {"beta": -1.0}, {"basis": {"interior_knots": "0.5"}}]
+)
+def test_params_list_entry_must_be_a_list(tmp_path, entry, capsys):
+    cfg = cfg_file(tmp_path, {"params": dict(REF_PARAMS, **entry)})
+    assert main(["validate", "--config", cfg]) == 2
+    assert "must be a list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_finite_params_exit1(tmp_path, command, capsys):
+    body = {
+        "params": dict(REF_PARAMS, g0=float("nan")),
+        "simulate": {"mode": "ode", "x0": 0.5, "schedule": {"u": 0.5, "B": 0.4}, "t_end": 1.0},
+    }
+    cfg = cfg_file(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "g0 must be finite" in captured.out + captured.err
 
 
 @pytest.mark.parametrize("value", [32.9, True, float("inf"), float("nan"), "32", None])

@@ -161,6 +161,15 @@ def test_ode_piecewise_schedule(p):
     assert traj.states[-1] < 0.1  # u = 1 phase discharges
 
 
+def test_non_finite_state_message_has_no_prefix(p):
+    # the CLI prefixes "numerical failure: " itself
+    bad = FlexParams(C=float("nan"))
+    with pytest.raises(RuntimeError, match=r"^non-finite state"):
+        dynamics.integrate_ode(bad, 0.5, Schedule.constant(0.5, 0.5), dt=0.1, t_end=1.0)
+    with pytest.raises(RuntimeError, match=r"^non-finite state"):
+        dynamics.simulate_sde(bad, 0.5, Schedule.constant(0.5, 0.5), 4, 0, dt=0.1, t_end=1.0)
+
+
 def test_x0_validated(p):
     with pytest.raises(ValueError):
         dynamics.integrate_ode(p, -0.2, Schedule.constant(0.5, 0.5))

@@ -1,8 +1,14 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from flexfunc import model
 from flexfunc.ispline import ISplineBasis
+from flexfunc.model import FlexParams
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +111,94 @@ def test_dict_round_trip(basis):
     bad["mystery"] = 1
     with pytest.raises(ValueError):
         ISplineBasis.from_dict(bad)
+
+
+# -- independent oracle: the recursive M-spline and the telescoping I-spline sum
+
+
+def _mspline(i, order, x, knots):
+    """1-based ``i``-th M-spline of ``order`` on ``knots`` at ``x`` by the
+    standard recursion; ``x == 1`` is evaluated as a left limit."""
+    ti = knots[i - 1]
+    tik = knots[i + order - 1]
+    if order == 1:
+        if ti <= x < tik:
+            return 1.0 / (tik - ti)
+        if x == knots[-1] and ti < x <= tik:
+            return 1.0 / (tik - ti)
+        return 0.0
+    if tik == ti:
+        return 0.0
+    inside = ti <= x <= tik if x == knots[-1] else ti <= x < tik
+    if not inside:
+        return 0.0
+    a = (x - ti) * _mspline(i, order - 1, x, knots)
+    b = (tik - x) * _mspline(i + 1, order - 1, x, knots)
+    return order * (a + b) / ((order - 1) * (tik - ti))
+
+
+def _ispline(basis, i, u):
+    """I_i(u) = sum_{m=i+1}^{j} (T_{m+k+1} - T_m) M_m(u | k+1) / (k+1) on the
+    order k+1 knots T, with T_j <= u < T_{j+1} (Ramsay 1988); exactly 0 below
+    the support and exactly 1 above it."""
+    k = basis.order
+    knots = (0.0,) * (k + 1) + basis.interior_knots + (1.0,) * (k + 1)
+    j = bisect_right(knots, u)
+    if i > j:
+        return 0.0
+    if i < j - k:
+        return 1.0
+    total = 0.0
+    for m in range(i + 1, j + 1):
+        width = knots[m + k] - knots[m - 1]
+        if width:
+            total += width * _mspline(m, k + 1, u, knots) / (k + 1)
+    return total
+
+
+@st.composite
+def _bases_and_points(draw):
+    order = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))
+    interior = sorted(draw(st.lists(st.sampled_from(pool), max_size=6)))  # repeats allowed
+    basis = ISplineBasis(order=order, interior_knots=tuple(interior))
+    free = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    us = np.array(sorted({0.0, 1.0, *interior, *free}))
+    n = basis.basis_count
+    beta = draw(st.lists(st.floats(-1.0, 0.0), min_size=n, max_size=n))
+    return basis, us, beta
+
+
+@settings(max_examples=300)
+@given(_bases_and_points())
+def test_deboor_matches_recursive_oracle(case):
+    basis, us, beta = case
+    n, k = basis.basis_count, basis.order
+    oracle = np.array([[_ispline(basis, i, u) for i in range(1, n + 1)] for u in us])
+    rows = basis.rows(us)
+    assert np.max(np.abs(rows - oracle)) <= 1e-14
+    # I_i = sum of the B-splines m >= i (0-based) on the order k+1 knots T, so it
+    # is exactly 0 below T[i] and exactly 1 from T[i+k] on
+    t = np.array((0.0, *basis.knots, 1.0))
+    below = us[:, None] < t[None, 1 : n + 1]
+    above = us[:, None] >= t[None, k + 1 : k + 1 + n]
+    assert np.all(rows[below] == 0.0) and np.all(rows[above] == 1.0)
+    assert np.all(basis.rows(0.0) == 0.0) and np.all(basis.rows(1.0) == 1.0)
+
+    p = FlexParams(beta=beta, basis=basis)
+    g = model.price_response(p, us)
+    assert np.max(np.abs(g - (p.g0 + oracle @ np.array(beta)))) <= 1e-14
+    assert model.price_response(p, 0.0) == p.g0
+    assert model.price_response(p, 1.0) == p.g0 + sum(beta)
+
+    for a, u in enumerate(us):
+        for i in range(1, n + 1):
+            assert basis.ispline_eval(i, u) == rows[a, i - 1]
+            m = _mspline(i, k, u, basis.knots)
+            assert basis.mspline_eval(i, u) == pytest.approx(m, rel=1e-12, abs=1e-12)
+
+
+def test_price_response_rejects_beta_of_wrong_length():
+    p = FlexParams(beta=(-1.0, -1.0))
+    with pytest.raises(ValueError, match="beta has 2 entries but the basis has 7"):
+        model.price_response(p, 0.5)

@@ -96,6 +96,20 @@ def test_validate_flags_violations(kwargs, fragment):
     assert any(fragment in v for v in rep.violations), rep.violations
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        (dict(g0=float("nan")), "g0"),
+        (dict(alpha=(float("nan"), 0.25, 0.75, 0.0)), "alpha"),
+        (dict(beta=(-0.375, -0.1875, -0.0625, float("nan"), -0.125, -0.5, -0.6875)), "beta"),
+        (dict(beta=(-0.375, -0.1875, -0.0625, -0.0625, -0.125, -0.5, -float("inf"))), "beta"),
+    ],
+)
+def test_validate_flags_non_finite(kwargs, name):
+    rep = model.validate(FlexParams(**kwargs))
+    assert any(f"{name} must be finite" in v for v in rep.violations), rep.violations
+
+
 def test_validate_beta_positive_entry():
     beta = (-0.5, -0.5, -0.5, -0.5, 0.25, -0.5, 0.25)
     rep = model.validate(FlexParams(beta=beta))
