@@ -36,8 +36,9 @@ class BilinearParams:
     x0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+        for name in ("r1", "r2", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def as_growth(self) -> float:

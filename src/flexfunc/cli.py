@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 One JSON config file drives each run; subcommands pick the block they
-need.  All outputs are CSV (single header row, full double precision) or
-JSON files under --out, deterministic given the config and master seed
-and byte-identical across repeated runs.  ``--threads`` and the "threads"
-key are accepted and checked so that older configs keep working; they have
-no effect.
+need.  One table of fields checks the whole config before any output
+directory is created.  All outputs are CSV (single header row, full double
+precision) or JSON files under --out, deterministic given the config and
+master seed and byte-identical across repeated runs.  ``--threads`` and the
+"threads" key are accepted and checked so that older configs keep working;
+they have no effect.
 
 Exit codes: 0 success, 1 validation or certificate failure, 2 usage or
 config error, 3 numerical failure.
@@ -43,8 +44,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_TOP_KEYS = {"params", "seed", "threads", "simulate", "density", "sweep", "certify", "examples"}
-
 
 class ConfigError(Exception):
     """Config contents (or flag combination) the CLI cannot act on."""
@@ -63,99 +62,11 @@ def _load_config(path: str) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    if "params" not in cfg:
-        raise ConfigError('config must contain a "params" object')
     return cfg
 
 
-# Numeric entries of the params block and of its "basis" block: JSON numbers
-# (float or int) or lists of them (list).
-_PARAM_NUMBERS = {
-    "C": float, "lambda": float, "k": float, "g0": float, "sigma_x": float, "alpha": list, "beta": list
-}
-_BASIS_NUMBERS = {"order": int, "basis_count": int, "knots": list, "interior_knots": list}
-
-
-def _config_params(cfg: dict) -> FlexParams:
-    params = _numeric_block(cfg["params"], "params", _PARAM_NUMBERS)
-    if "basis" in params:
-        params["basis"] = _numeric_block(params["basis"], "params basis", _BASIS_NUMBERS)
-    try:
-        return FlexParams.from_dict(params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params block: {exc}") from exc
-
-
-def _numeric_block(block, where: str, kinds: dict) -> dict:
-    """Copy of the config object ``block`` with each key of ``kinds`` that it
-    holds checked by :func:`_numbers` (kind ``list``) or :func:`_number`."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    out = dict(block)
-    for key, kind in kinds.items():
-        if key in block:
-            name = f'{where} "{key}"'
-            value = block[key]
-            out[key] = _numbers(value, name) if kind is list else _number(value, name, kind)
-    return out
-
-
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _block(cfg: dict, name: str, allowed: set[str]) -> dict:
-    if name not in cfg:
-        raise ConfigError(f'config must contain a "{name}" block for this command')
-    block = cfg[name]
-    _check_keys(block, allowed, f'"{name}" block')
-    return block
-
-
-def _require_valid(params: FlexParams) -> bool:
-    """Print violations (exit-1 contract) and report whether params are usable."""
-    rep = validate(params)
-    for msg in rep.violations:
-        print(msg, file=sys.stderr)
-    return rep.ok
-
-
-def _override(args_value, cfg: dict, key: str, default):
-    """Flag wins over config; overrides are logged to stderr."""
-    if args_value is not None:
-        if key in cfg and cfg[key] != args_value:
-            print(f"flag --{key}={args_value} overrides config {key}={cfg[key]}", file=sys.stderr)
-        return args_value
-    return cfg.get(key, default)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _stem(name: str) -> str:
-    return name[:-4] if name.endswith(".csv") else name
-
-
-def _positive(block: dict, key: str, where: str):
-    """Optional positive finite number ``block[key]``; None when absent."""
-    value = block.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        math.isfinite(value) and value > 0
-    ):
-        raise ConfigError(f'{where} "{key}" must be a positive number, got {value!r}')
-    return value
+# Field parsers.  Each takes a config value and the name of its key and
+# returns the checked value, or raises ConfigError naming the key.
 
 
 def _number(value, name: str, kind=float):
@@ -171,64 +82,264 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
-def _numbers(values, name: str, kind=float) -> list:
-    """Each entry of the config list ``values`` through :func:`_number`."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return [_number(v, f"{name}[{i}]", kind) for i, v in enumerate(values)]
+def _int(value, name: str, low=-math.inf) -> int:
+    number = _number(value, name, int)
+    if number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
-def _check_threads(args, cfg: dict) -> None:
-    """``threads`` has no effect but must still be an integer >= 1."""
-    threads = _number(_override(args.threads, cfg, "threads", 1), '"threads"', int)
-    if threads < 1:
-        raise ConfigError(f'"threads" must be >= 1, got {threads}')
+_count = functools.partial(_int, low=1)
+_seed = functools.partial(_int, low=0)
 
 
-def _schedule_from(block: dict) -> Schedule:
-    sched = block.get("schedule")
-    if sched is None:
-        raise ConfigError('simulate block needs a "schedule" object')
-    _check_keys(sched, {"u", "B", "breakpoints", "u_values", "B_values"}, '"schedule"')
-    if "breakpoints" in sched:
-        for key in ("u_values", "B_values"):
-            if key not in sched:
-                raise ConfigError(f'piecewise schedule needs "{key}"')
-        return Schedule(
-            breakpoints=_numbers(sched["breakpoints"], 'schedule "breakpoints"'),
-            u_values=_numbers(sched["u_values"], 'schedule "u_values"'),
-            B_values=_numbers(sched["B_values"], 'schedule "B_values"'),
-        )
-    if "u" not in sched or "B" not in sched:
-        raise ConfigError('schedule needs either constant "u"/"B" or a piecewise triple')
-    return Schedule.constant(
-        _number(sched["u"], 'schedule "u"'), _number(sched["B"], 'schedule "B"')
-    )
+def _finite(value, name: str) -> float:
+    number = _number(value, name)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
-def _grid_values(spec, where: str) -> list[float]:
-    if isinstance(spec, list):
-        if not spec:
-            raise ConfigError(f"{where} must not be empty")
-        return _numbers(spec, where)
-    if isinstance(spec, dict):
-        _check_keys(spec, {"start", "stop", "count"}, where)
-        try:
-            count = _number(spec["count"], f'{where} "count"', int)
-            start = _number(spec["start"], f'{where} "start"')
-            stop = _number(spec["stop"], f'{where} "stop"')
-        except KeyError as exc:
-            raise ConfigError(f"{where} needs start/stop/count") from exc
-        if count < 1:
-            raise ConfigError(f"{where} count must be >= 1")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    raise ConfigError(f"{where} must be a list or a start/stop/count object")
+def _positive(value, name: str) -> float:
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    return float(value)
 
 
-def cmd_validate(args) -> int:
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(*choices: str):
+    def parse(value, name: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            options = " or ".join(f'"{c}"' for c in choices)
+            raise ConfigError(f"{name} must be {options}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _list(item, nonempty: bool = False, what: str = "numbers"):
+    def parse(value, name: str) -> list:
+        if not isinstance(value, list) or (nonempty and not value):
+            kind = "nonempty list" if nonempty else "list"
+            raise ConfigError(f"{name} must be a {kind} of {what}, got {value!r}")
+        return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+    return parse
+
+
+_REQUIRED = object()  # field default: the key must be present
+
+
+def _object(fields: dict, build=dict):
+    """Parser for a JSON object with no keys but those of ``fields``.
+
+    ``fields`` maps each key to ``(parser, default)``.  An absent key takes
+    its default, parsed like a given value; a default of None stays None.
+    The parser returns ``build(**checked)``, with every key of ``fields``.
+    """
+
+    def parse(value, name: str) -> dict:
+        where = name or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = set(value) - set(fields)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        prefix = name.replace('"', "") + " " if name else ""
+        out = {}
+        for key, (parser, default) in fields.items():
+            if key in value:
+                out[key] = parser(value[key], f'{prefix}"{key}"')
+            elif default is _REQUIRED:
+                raise ConfigError(f'{where} needs "{key}"')
+            else:
+                out[key] = None if default is None else parser(default, f'{prefix}"{key}"')
+        return build(**out)
+
+    return parse
+
+
+# params entries are numbers, finite or not: a NaN is for validate to report (exit 1).
+_PARAM_FIELDS = _object({
+    **{key: (_number, None) for key in ("C", "lambda", "k", "g0", "sigma_x")},
+    "alpha": (_list(_number), None),
+    "beta": (_list(_number), None),
+    "basis": (_object({
+        "order": (_int, None),
+        "basis_count": (_int, None),
+        "knots": (_list(_number), None),
+        "interior_knots": (_list(_number), None),
+    }), None),
+})
+
+
+def _params(value, name: str) -> FlexParams:
+    params = {key: v for key, v in _PARAM_FIELDS(value, name).items() if v is not None}
+    if "basis" in params:  # absent keys take the library defaults
+        params["basis"] = {key: v for key, v in params["basis"].items() if v is not None}
+    try:
+        return FlexParams.from_dict(params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params block: {exc}") from exc
+
+
+_floats = _list(_finite, nonempty=True)
+
+
+def _x0(value, name: str) -> list[float]:
+    """One start, or a nonempty list of starts."""
+    return _floats(value, name) if isinstance(value, list) else [_finite(value, name)]
+
+
+_CONSTANT = _object({"u": (_finite, _REQUIRED), "B": (_finite, _REQUIRED)}, Schedule.constant)
+_PIECEWISE = _object(
+    {key: (_floats, _REQUIRED) for key in ("breakpoints", "u_values", "B_values")}, Schedule
+)
+
+
+def _schedule(value, name: str) -> Schedule:
+    """Constant ``u``/``B``, or a ``breakpoints``/``u_values``/``B_values`` triple."""
+    piecewise = isinstance(value, dict) and "breakpoints" in value
+    return (_PIECEWISE if piecewise else _CONSTANT)(value, name)
+
+
+_RANGE = _object(
+    {"start": (_finite, _REQUIRED), "stop": (_finite, _REQUIRED), "count": (_count, _REQUIRED)}
+)
+
+
+def _sweep_values(value, name: str) -> list[float]:
+    """A nonempty list of values, or a start/stop/count range."""
+    if isinstance(value, dict):
+        spec = _RANGE(value, name)
+        return [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    return _floats(value, name)
+
+
+def _simulate(**block) -> dict:
+    if block["mode"] == "sde":
+        if block["n_paths"] is None:
+            raise ConfigError('sde mode needs "n_paths"')
+        if len(block["x0"]) != 1:
+            raise ConfigError("sde mode takes a single x0")
+        if not 0 <= block["sample_paths"] <= block["n_paths"]:
+            raise ConfigError("sample_paths must be between 0 and n_paths")
+    return block
+
+
+def _density(**block) -> dict:
+    if block["times"] is None and {"transient", "cdf"} & set(block["write"]):
+        raise ConfigError('density block needs a nonempty "times" list for transient output')
+    return block
+
+
+_SIMULATE = _object({
+    "mode": (_one_of("ode", "sde"), _REQUIRED),
+    "x0": (_x0, 0.5),
+    "schedule": (_schedule, _REQUIRED),
+    "dt": (_positive, None),
+    "t_end": (_positive, None),
+    "n_paths": (_count, None),
+    "sample_paths": (_int, 0),
+    "output": (_text, "simulate.csv"),
+}, _simulate)
+_EIGEN_MODE = _one_of("slowest", "fastest")
+_DENSITY = _object({
+    "u": (_finite, _REQUIRED),
+    "B": (_finite, _REQUIRED),
+    "n_cells": (_int, 200),
+    "initial": (_object({"kind": (_one_of("point", "uniform"), _REQUIRED), "x": (_finite, 0.5)}),
+                {"kind": "point"}),
+    "times": (_floats, None),
+    "dt": (_positive, None),
+    "write": (_list(_one_of("transient", "cdf", "stationary"), what="names"),
+              ["transient", "stationary"]),
+    "prefix": (_text, "density"),
+    "eigen_mode": (_EIGEN_MODE, "slowest"),
+}, _density)
+_SWEEP = _object({
+    "u_values": (_sweep_values, _REQUIRED),
+    "B_values": (_sweep_values, _REQUIRED),
+    "n_cells": (_int, 200),
+    "output": (_text, "sweep.csv"),
+    "eigen_mode": (_EIGEN_MODE, "slowest"),
+})
+_CERTIFY = _object({
+    "u_star": (_finite, _REQUIRED),
+    "B_star": (_finite, _REQUIRED),
+    "theta": (_finite, 0.5),
+    "target_radius": (_finite, 1.0),
+    "grid_n": (_int, 2001),
+    "output": (_text, "certificates.json"),
+})
+_SYSTEM = _object(
+    {"r1": (_finite, 1.0), "r2": (_finite, -1.2), "x0": (_finite, 1.0)}, bilinear.BilinearParams
+)
+_EXAMPLES = _object({
+    "systems": (_list(_SYSTEM, nonempty=True, what="objects"),
+                [{"r1": 1.0, "r2": -1.2, "x0": 1.0}, {"r1": 1.0, "r2": 2.0, "x0": 1.0}]),
+    "omega": (_finite, 1.0),
+    "t_end": (_positive, 1.0),
+    "n_steps": (_count, 256),
+    "mean_dt": (_positive, 0.01),
+    "convergence": (_object({
+        "dts": (_list(_positive, nonempty=True), list(bilinear._DEFAULT_DTS)),
+        "n_paths": (_count, 1000),
+        "t_end": (_positive, 1.0),
+    }), {}),
+    "prefix": (_text, "examples"),
+})
+_CONFIG = _object({
+    "params": (_params, _REQUIRED),
+    "seed": (_seed, 1234),
+    "threads": (_count, 1),
+    "simulate": (_SIMULATE, None),
+    "density": (_DENSITY, None),
+    "sweep": (_SWEEP, None),
+    "certify": (_CERTIFY, None),
+    "examples": (_EXAMPLES, None),
+})
+
+
+def _read_config(args) -> dict:
+    """The checked config, with each flag of ``args`` in place of its key."""
     cfg = _load_config(args.config)
-    params = _config_params(cfg)
+    if args.command != "validate" and args.command not in cfg:
+        raise ConfigError(f'config must contain a "{args.command}" block for this command')
+    # A flag replaces its key before the checks, so the two follow one rule.
+    block = cfg.get(args.command)
+    flags = [(block, key, getattr(args, key, None)) for key in ("mode", "eigen_mode")]
+    flags += [(cfg, "seed", args.seed), (cfg, "threads", args.threads)]
+    for where, key, value in flags:
+        if value is not None and isinstance(where, dict):
+            if key in where and where[key] != value:
+                print(f"flag --{key}={value} overrides config {key}={where[key]}", file=sys.stderr)
+            where[key] = value
+    return _CONFIG(cfg, "")
+
+
+def _require_valid(params: FlexParams) -> bool:
+    """Print violations (exit-1 contract) and report whether params are usable."""
     rep = validate(params)
+    for msg in rep.violations:
+        print(msg, file=sys.stderr)
+    return rep.ok
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_validate(cfg: dict, out: str) -> int:
+    rep = validate(cfg["params"])
     for msg in rep.violations:
         print(msg)
     for msg in rep.warnings:
@@ -239,103 +350,40 @@ def cmd_validate(args) -> int:
     return EXIT_FAIL
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    params = _config_params(cfg)
-    if not _require_valid(params):
-        return EXIT_FAIL
-    block = _block(
-        cfg,
-        "simulate",
-        {"mode", "x0", "schedule", "dt", "t_end", "n_paths", "sample_paths", "output"},
-    )
-    mode = _override(args.mode, block, "mode", None)
-    if mode not in ("ode", "sde"):
-        raise ConfigError(f'simulate mode must be "ode" or "sde", got {mode!r}')
-    schedule = _schedule_from(block)
-    dt = _positive(block, "dt", "simulate block")
-    t_end = _positive(block, "t_end", "simulate block")
-    output = block.get("output", "simulate.csv")
-    out = _out_dir(args)
-    seed = _number(_override(args.seed, cfg, "seed", 1234), '"seed"', int)
-    _check_threads(args, cfg)
+def cmd_simulate(cfg: dict, out: str) -> int:
+    params, block = cfg["params"], cfg["simulate"]
+    x0_list, schedule, dt, t_end = block["x0"], block["schedule"], block["dt"], block["t_end"]
+    stem = block["output"].removesuffix(".csv")
+    out = _out_dir(out)
 
-    x0_spec = block.get("x0", 0.5)
-    if isinstance(x0_spec, list):
-        x0_list = _numbers(x0_spec, 'simulate "x0"')
-    else:
-        x0_list = [_number(x0_spec, 'simulate "x0"')]
-    if not x0_list:
-        raise ConfigError("x0 list must not be empty")
-
-    if mode == "ode":
-        files = []
+    if block["mode"] == "ode":
         for i, x0 in enumerate(x0_list, start=1):
-            name = output if len(x0_list) == 1 else f"{_stem(output)}_{i:02d}.csv"
-            traj = integrate_ode(params, x0, schedule, dt=dt, t_end=t_end)
-            traj.to_csv(out / name)
-            files.append(name)
-        print(f"wrote {len(files)} trajectory file(s) to {out}")
+            name = block["output"] if len(x0_list) == 1 else f"{stem}_{i:02d}.csv"
+            integrate_ode(params, x0, schedule, dt=dt, t_end=t_end).to_csv(out / name)
+        print(f"wrote {len(x0_list)} trajectory file(s) to {out}")
         return EXIT_OK
 
-    n_paths = _number(block.get("n_paths"), 'simulate "n_paths"', int)
-    if n_paths < 1:
-        raise ConfigError(f"sde mode needs integer n_paths >= 1, got {n_paths!r}")
-    if len(x0_list) != 1:
-        raise ConfigError("sde mode takes a single x0")
-    sample = _number(block.get("sample_paths", 0), 'simulate "sample_paths"', int)
-    if sample < 0 or sample > n_paths:
-        raise ConfigError("sample_paths must be between 0 and n_paths")
-    ens = simulate_sde(params, x0_list[0], schedule, n_paths, master_seed=seed, dt=dt, t_end=t_end)
-    ens.to_csv(out / f"{_stem(output)}_summary.csv")
-    for i in range(sample):
-        path = Trajectory(times=ens.times, states=ens.states[i])
-        path.to_csv(out / f"{_stem(output)}_path{i + 1:02d}.csv")
-    print(f"wrote ensemble summary and {sample} sample path(s) to {out}")
+    ens = simulate_sde(
+        params, x0_list[0], schedule, block["n_paths"], master_seed=cfg["seed"], dt=dt, t_end=t_end
+    )
+    ens.to_csv(out / f"{stem}_summary.csv")
+    for i in range(block["sample_paths"]):
+        Trajectory(ens.times, ens.states[i]).to_csv(out / f"{stem}_path{i + 1:02d}.csv")
+    print(f"wrote ensemble summary and {block['sample_paths']} sample path(s) to {out}")
     return EXIT_OK
 
 
-def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
-    params = _config_params(cfg)
-    if not _require_valid(params):
-        return EXIT_FAIL
-    block = _block(
-        cfg,
-        "density",
-        {"u", "B", "n_cells", "initial", "times", "dt", "write", "prefix", "eigen_mode"},
-    )
-    for key in ("u", "B"):
-        if key not in block:
-            raise ConfigError(f'density block needs "{key}"')
-    u = _number(block["u"], 'density "u"')
-    B = _number(block["B"], 'density "B"')
-    n_cells = _number(block.get("n_cells", 200), 'density "n_cells"', int)
-    prefix = block.get("prefix", "density")
-    write = block.get("write", ["transient", "stationary"])
-    if not isinstance(write, list) or set(write) - {"transient", "cdf", "stationary"}:
-        raise ConfigError('density "write" must be a list drawn from transient/cdf/stationary')
-    eigen_mode = _override(args.eigen_mode, block, "eigen_mode", "slowest")
-    out = _out_dir(args)
+def cmd_density(cfg: dict, out: str) -> int:
+    params, block = cfg["params"], cfg["density"]
+    prefix, write, initial = block["prefix"], block["write"], block["initial"]
+    out = _out_dir(out)
 
-    gen = build_generator(params, u, B, n_cells=n_cells)
-
-    initial = block.get("initial", {"kind": "point", "x": 0.5})
-    _check_keys(initial, {"kind", "x"}, '"initial"')
-    kind = initial.get("kind")
-    if kind == "point":
-        pdf0 = point_mass_pdf(gen.grid, _number(initial.get("x", 0.5), 'initial "x"'))
-    elif kind == "uniform":
-        pdf0 = np.full(n_cells, 1.0)
-    else:
-        raise ConfigError(f'initial kind must be "point" or "uniform", got {kind!r}')
+    gen = build_generator(params, block["u"], block["B"], n_cells=block["n_cells"])
+    point = initial["kind"] == "point"
+    pdf0 = point_mass_pdf(gen.grid, initial["x"]) if point else np.full(gen.n_cells, 1.0)
 
     if "transient" in write or "cdf" in write:
-        times = block.get("times")
-        if not isinstance(times, list) or not times:
-            raise ConfigError('density block needs a nonempty "times" list for transient output')
-        times = _numbers(times, 'density "times"')
-        series = evolve_pdf(gen, pdf0, times, dt=_positive(block, "dt", "density block"))
+        series = evolve_pdf(gen, pdf0, block["times"], dt=block["dt"])
         if "transient" in write:
             series.to_csv(out / f"{prefix}_transient.csv")
         if "cdf" in write:
@@ -347,65 +395,37 @@ def cmd_density(args) -> int:
 
     mean, var = stationary_moments(gen)
     info = {
-        "u": u,
-        "B": B,
-        "n_cells": n_cells,
-        "stationary_mean": mean,
-        "stationary_var": var,
+        "u": block["u"], "B": block["B"], "n_cells": block["n_cells"],
+        "stationary_mean": mean, "stationary_var": var,
         "stationary_mode": float(gen.grid.centers[int(np.argmax(pdf_inf))]),
-        "eigen_mode": eigen_mode,
-        "spectral_gap": spectral_gap(gen, mode=eigen_mode),
+        "eigen_mode": block["eigen_mode"],
+        "spectral_gap": spectral_gap(gen, mode=block["eigen_mode"]),
     }
     (out / f"{prefix}_info.json").write_text(json.dumps(info, indent=2) + "\n", encoding="utf-8")
     print(f"wrote density outputs ({', '.join(write)}) and {prefix}_info.json to {out}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params = _config_params(cfg)
-    if not _require_valid(params):
-        return EXIT_FAIL
-    block = _block(cfg, "sweep", {"u_values", "B_values", "n_cells", "output", "eigen_mode"})
-    for key in ("u_values", "B_values"):
-        if key not in block:
-            raise ConfigError(f'sweep block needs "{key}"')
-    us = _grid_values(block["u_values"], "u_values")
-    bs = _grid_values(block["B_values"], "B_values")
-    n_cells = _number(block.get("n_cells", 200), 'sweep "n_cells"', int)
-    eigen_mode = _override(args.eigen_mode, block, "eigen_mode", "slowest")
-    output = block.get("output", "sweep.csv")
-    _check_threads(args, cfg)
-    out = _out_dir(args)
+def cmd_sweep(cfg: dict, out: str) -> int:
+    params, block = cfg["params"], cfg["sweep"]
+    n_cells, mode = block["n_cells"], block["eigen_mode"]
+    path = _out_dir(out) / block["output"]
 
     rows = []
-    for u in us:  # u-major row order
-        for B in bs:
+    for u in block["u_values"]:  # u-major row order
+        for B in block["B_values"]:
             gen = build_generator(params, u, B, n_cells=n_cells)
-            rows.append((u, B, *stationary_moments(gen), spectral_gap(gen, mode=eigen_mode)))
-    write_csv(out / output, "u,B,mean,var,gap", zip(*rows))
-    print(f"wrote {len(rows)} sweep rows to {out / output}")
+            rows.append((u, B, *stationary_moments(gen), spectral_gap(gen, mode=mode)))
+    write_csv(path, "u,B,mean,var,gap", zip(*rows))
+    print(f"wrote {len(rows)} sweep rows to {path}")
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
-    params = _config_params(cfg)
-    if not _require_valid(params):
-        return EXIT_FAIL
-    block = _block(
-        cfg, "certify", {"u_star", "B_star", "theta", "target_radius", "grid_n", "output"}
-    )
-    for key in ("u_star", "B_star"):
-        if key not in block:
-            raise ConfigError(f'certify block needs "{key}"')
-    u_star = _number(block["u_star"], 'certify "u_star"')
-    B_star = _number(block["B_star"], 'certify "B_star"')
-    theta = _number(block.get("theta", 0.5), 'certify "theta"')
-    target_radius = _number(block.get("target_radius", 1.0), 'certify "target_radius"')
-    grid_n = _number(block.get("grid_n", 2001), 'certify "grid_n"', int)
-    output = block.get("output", "certificates.json")
-    out = _out_dir(args)
+def cmd_certify(cfg: dict, out: str) -> int:
+    params, block = cfg["params"], cfg["certify"]
+    u_star, B_star, theta = block["u_star"], block["B_star"], block["theta"]
+    target_radius, grid_n = block["target_radius"], block["grid_n"]
+    out = _out_dir(out)
 
     certs = [
         certify_deterministic(params, u_star, B_star, grid_n=grid_n),
@@ -414,149 +434,83 @@ def cmd_certify(args) -> int:
     ]
     eta1 = min_drift_gain(params, B_star)
     radius = stable_radius(params, B_star, theta) if eta1 > 0.0 else 0.0
-    sigma_max = (
-        max_stable_noise(params, u_star, B_star, target_radius=target_radius, theta=theta)
-        if eta1 > 0.0
-        else None
-    )
+    sigma_max = None
+    if eta1 > 0.0:
+        sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta)
     radius_ok = radius >= target_radius - 1e-12
     overall = all(c.passed for c in certs) and radius_ok
 
-    doc = {c.claim: c.to_json_dict() for c in certs}
-    doc.update(
-        {
-            "theta": theta,
-            "target_radius": target_radius,
-            "stable_radius": radius,
-            "radius_meets_target": radius_ok,
-            "sigma_max": sigma_max,
-            "overall_pass": overall,
-        }
-    )
-    (out / output).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    doc = {c.claim: c.to_json_dict() for c in certs} | {
+        "theta": theta, "target_radius": target_radius, "stable_radius": radius,
+        "radius_meets_target": radius_ok, "sigma_max": sigma_max, "overall_pass": overall,
+    }
+    (out / block["output"]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     for c in certs:
         state = "pass" if c.passed else "FAIL"
         extra = " (degenerate)" if c.degenerate else ""
         print(f"{c.claim}: {state}{extra} margin={c.margin!r}")
-    print(f"stable radius {radius!r} vs target {target_radius!r}: "
-          f"{'pass' if radius_ok else 'FAIL'}")
+    verdict = "pass" if radius_ok else "FAIL"
+    print(f"stable radius {radius!r} vs target {target_radius!r}: {verdict}")
     return EXIT_OK if overall else EXIT_FAIL
 
 
-def cmd_examples(args) -> int:
-    cfg = _load_config(args.config)
-    _config_params(cfg)  # params must parse even though the toy system ignores them
-    block = _block(
-        cfg,
-        "examples",
-        {"systems", "omega", "t_end", "n_steps", "mean_dt", "convergence", "prefix"},
-    )
-    systems = block.get(
-        "systems",
-        [{"r1": 1.0, "r2": -1.2, "x0": 1.0}, {"r1": 1.0, "r2": 2.0, "x0": 1.0}],
-    )
-    if not isinstance(systems, list) or not systems:
-        raise ConfigError('"systems" must be a nonempty list')
-    omega = _number(block.get("omega", 1.0), 'examples "omega"')
-    t_end = _number(block.get("t_end", 1.0), 'examples "t_end"')
-    n_steps = _number(block.get("n_steps", 256), 'examples "n_steps"', int)
-    mean_dt = _number(block.get("mean_dt", 0.01), 'examples "mean_dt"')
-    prefix = block.get("prefix", "examples")
-    seed = _number(_override(args.seed, cfg, "seed", 1234), '"seed"', int)
-    out = _out_dir(args)
+def cmd_examples(cfg: dict, out: str) -> int:
+    block, seed = cfg["examples"], cfg["seed"]
+    toys, t_end, prefix = block["systems"], block["t_end"], block["prefix"]
+    out = _out_dir(out)
 
-    toys = []
-    for i, sys_spec in enumerate(systems):
-        where = f"systems[{i}]"
-        _check_keys(sys_spec, {"r1", "r2", "x0"}, where)
-        toys.append(
-            bilinear.BilinearParams(
-                r1=_number(sys_spec.get("r1", 1.0), f'{where} "r1"'),
-                r2=_number(sys_spec.get("r2", -1.2), f'{where} "r2"'),
-                x0=_number(sys_spec.get("x0", 1.0), f'{where} "x0"'),
-            )
-        )
     for i, bp in enumerate(toys, start=1):
-        bilinear.mean_ode(bp, omega, mean_dt, t_end).to_csv(out / f"{prefix}_system{i}_mean.csv")
-        times, x_em, x_exact = bilinear.demo_paths(bp, t_end, n_steps, master_seed=seed + i)
+        mean = bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end)
+        mean.to_csv(out / f"{prefix}_system{i}_mean.csv")
+        times, x_em, x_exact = bilinear.demo_paths(bp, t_end, block["n_steps"], seed + i)
         bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", times, x_em, x_exact)
 
-    conv = block.get("convergence", {})
-    _check_keys(conv, {"dts", "n_paths", "t_end"}, '"convergence"')
+    conv = block["convergence"]
     study = bilinear.strong_convergence_study(
-        toys[0],
-        dts=_numbers(conv["dts"], 'convergence "dts"') if "dts" in conv else bilinear._DEFAULT_DTS,
-        n_paths=_number(conv.get("n_paths", 1000), 'convergence "n_paths"', int),
-        master_seed=seed,
-        t_end=_number(conv.get("t_end", 1.0), 'convergence "t_end"'),
+        toys[0], dts=conv["dts"], n_paths=conv["n_paths"], master_seed=seed, t_end=conv["t_end"]
     )
     study.to_csv(out / f"{prefix}_convergence.csv")
-    print(f"wrote {len(systems)} system(s) and convergence table to {out}")
+    print(f"wrote {len(toys)} system(s) and convergence table to {out}")
     print(f"strong-error slope: {study.slope!r}")
     return EXIT_OK
 
 
 @functools.cache  # parse_args leaves the parser unchanged; build it once per process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flexfunc",
-        description="Simulation and stability analysis of the flexibility function.",
-    )
+    description = "Simulation and stability analysis of the flexibility function."
+    parser = argparse.ArgumentParser(prog="flexfunc", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, handler, help_text in (
+        ("validate", cmd_validate, "check a parameter set"),
+        ("simulate", cmd_simulate, "integrate trajectories or SDE ensembles"),
+        ("density", cmd_density, "transient and stationary state distributions"),
+        ("sweep", cmd_sweep, "stationary moments and spectral gap over a (u, B) grid"),
+        ("certify", cmd_certify, "deterministic and stochastic stability certificates"),
+        ("examples", cmd_examples, "bilinear toy system and integrator convergence study"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument(
-            "--threads", type=int, default=None, help="accepted for older scripts; no effect"
-        )
-
-    p = sub.add_parser("validate", help="check a parameter set")
-    common(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("simulate", help="integrate trajectories or SDE ensembles")
-    common(p)
-    p.add_argument("--mode", choices=("ode", "sde"), default=None, help="integrator family")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("density", help="transient and stationary state distributions")
-    common(p)
-    p.add_argument("--eigen-mode", choices=("slowest", "fastest"), default=None)
-    p.set_defaults(handler=cmd_density)
-
-    p = sub.add_parser("sweep", help="stationary moments and spectral gap over a (u, B) grid")
-    common(p)
-    p.add_argument("--eigen-mode", choices=("slowest", "fastest"), default=None)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("certify", help="deterministic and stochastic stability certificates")
-    common(p)
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser("examples", help="bilinear toy system and integrator convergence study")
-    common(p)
-    p.set_defaults(handler=cmd_examples)
-
+        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--threads", type=int, help="accepted for older scripts; no effect")
+        if command == "simulate":
+            p.add_argument("--mode", choices=("ode", "sde"), help="integrator family")
+        if command in ("density", "sweep"):
+            p.add_argument("--eigen-mode", choices=("slowest", "fastest"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be a nonnegative integer", file=sys.stderr)
-        return EXIT_USAGE
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        cfg = _read_config(args)
+        # validate reports on the params itself; the toy systems of examples ignore them
+        if args.command not in ("validate", "examples") and not _require_valid(cfg["params"]):
+            return EXIT_FAIL
+        return args.handler(cfg, args.out)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -50,8 +50,8 @@ class Schedule:
             raise ValueError("breakpoints, u_values and B_values must have equal length")
         if bp[0] != 0.0:
             raise ValueError(f"first breakpoint must be 0.0, got {bp[0]}")
-        if any(b <= a for a, b in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not math.isfinite(bp[-1]) or any(not b > a for a, b in zip(bp, bp[1:])):
+            raise ValueError(f"breakpoints must be finite and strictly increasing, got {bp}")
         for name, vals in (("u", uv), ("B", bv)):
             for v in vals:
                 if not 0.0 <= v <= 1.0:

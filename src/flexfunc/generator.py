@@ -208,6 +208,8 @@ def evolve_pdf(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times.tolist()}")
     if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
         raise ValueError("times must be nondecreasing and nonnegative")
     pdf0 = np.asarray(pdf0, dtype=float)
@@ -222,8 +224,8 @@ def evolve_pdf(
     if dt is None:
         span = float(times[-1])
         dt = span / 1000.0 if span > 0.0 else 1.0
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     def factor(step: float) -> list:
         # bands of A = I - step*G^T:  sub_A = -step*up[:-1], sup_A = -step*down[1:]

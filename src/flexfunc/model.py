@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -249,11 +248,3 @@ def validate(params: FlexParams, grid_n: int = 1001) -> ValidationReport:
         if abs(fv[0] - 1.0) > 1e-9 or abs(fv[-1] + 1.0) > 1e-9:
             rep.violations.append("f must satisfy f(0) = 1 and f(1) = -1")
     return rep
-
-
-def validate_or_raise(params: FlexParams) -> None:
-    rep = validate(params)
-    for msg in rep.warnings:
-        warnings.warn(msg, stacklevel=2)
-    if not rep.ok:
-        raise ValueError("invalid parameters: " + "; ".join(rep.violations))

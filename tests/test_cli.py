@@ -1,11 +1,16 @@
 """End-to-end checks of the batch CLI: exit codes, file contracts, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexfunc.cli import ConfigError, _number, main
 
@@ -615,3 +620,175 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+_NAN = float("nan")
+_SMALL = {
+    "simulate": {"mode": "ode", "schedule": {"u": 0.5, "B": 0.4}, "t_end": 0.3},
+    "density": {"u": 0.2, "B": 0.4, "n_cells": 32, "times": [0.5]},
+    "sweep": {"u_values": [0.5], "B_values": [0.5], "n_cells": 24},
+    "certify": {"u_star": 0.0, "B_star": 0.4, "grid_n": 101},
+    "examples": {
+        "systems": [{"r1": 1.0, "r2": -1.2, "x0": 1.0}],
+        "n_steps": 16,
+        "convergence": {"dts": [0.25, 0.125], "n_paths": 4},
+    },
+}
+
+
+def _small(command, **changes):
+    return dict(_SMALL[command], **changes)
+
+
+@pytest.mark.parametrize(
+    "command,block,top,key",
+    [
+        *[
+            (command, _small(command, output=value), {}, "output")
+            for command in ("simulate", "sweep", "certify")
+            for value in (5, None, [])
+        ],
+        ("density", _small("density", write=[["a"]]), {}, "write"),
+        ("density", _small("density", times=[_NAN]), {}, "times"),
+        (
+            "simulate",
+            _small(
+                "simulate",
+                schedule={"breakpoints": [0.0, _NAN], "u_values": [0.1, 0.9], "B_values": [0.4, 0.4]},
+            ),
+            {},
+            "breakpoints",
+        ),
+        ("examples", _small("examples", omega=_NAN), {}, "omega"),
+        ("examples", _small("examples", systems=[{"r1": 1.0, "r2": _NAN, "x0": 1.0}]), {}, "r2"),
+        ("density", _small("density", prefix=[1]), {}, "prefix"),
+        ("density", _small("density", write=["stationary"], eigen_mode="bogus"), {}, "eigen_mode"),
+        ("examples", _small("examples", n_steps=0), {}, "n_steps"),
+        ("examples", _SMALL["examples"], {"seed": -5}, "seed"),
+        ("density", _small("density", initial={"kind": "uniform", "x": "zz"}), {}, "x"),
+    ],
+)
+def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key, capsys):
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block, **top})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f'"{key}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Small configs for the fuzz test: every size is small, and so is every
+# default that deleting one leaf can bring in.
+_FUZZ_BASES = {
+    "validate": {"params": REF_PARAMS},
+    "simulate": {
+        "params": REF_PARAMS,
+        "seed": 3,
+        "threads": 1,
+        "simulate": {
+            "mode": "sde",
+            "x0": 0.5,
+            "schedule": {"breakpoints": [0.0, 0.1], "u_values": [0.2, 0.8], "B_values": [0.4, 0.5]},
+            "dt": 0.05,
+            "t_end": 0.3,
+            "n_paths": 4,
+            "sample_paths": 1,
+            "output": "s.csv",
+        },
+    },
+    "simulate-ode": {
+        "params": REF_PARAMS,
+        "simulate": {
+            "mode": "ode",
+            "x0": [0.2, 0.8],
+            "schedule": {"u": 0.5, "B": 0.4},
+            "t_end": 0.3,
+            "output": "o.csv",
+        },
+    },
+    "density": {
+        "params": REF_PARAMS,
+        "density": {
+            "u": 0.2,
+            "B": 0.4,
+            "n_cells": 32,
+            "initial": {"kind": "point", "x": 0.5},
+            "times": [0.1, 0.3],
+            "dt": 0.05,
+            "write": ["transient", "cdf", "stationary"],
+            "prefix": "d",
+            "eigen_mode": "slowest",
+        },
+    },
+    "sweep": {
+        "params": REF_PARAMS,
+        "sweep": {
+            "u_values": {"start": 0.2, "stop": 0.8, "count": 2},
+            "B_values": [0.5],
+            "n_cells": 32,
+            "output": "w.csv",
+            "eigen_mode": "fastest",
+        },
+    },
+    "certify": {
+        "params": REF_PARAMS,
+        "certify": {
+            "u_star": 0.0,
+            "B_star": 0.4,
+            "theta": 0.5,
+            "target_radius": 0.5,
+            "grid_n": 101,
+            "output": "c.json",
+        },
+    },
+    "examples": {
+        "params": REF_PARAMS,
+        "seed": 3,
+        "examples": {
+            "systems": [{"r1": 1.0, "r2": -1.2, "x0": 1.0}],
+            "omega": 1.0,
+            "t_end": 0.25,
+            "n_steps": 8,
+            "mean_dt": 0.05,
+            "convergence": {"dts": [0.125, 0.0625], "n_paths": 4, "t_end": 0.25},
+            "prefix": "e",
+        },
+    },
+}
+_DELETE = object()
+_FUZZ_VALUES = [_DELETE, None, True, "x", [], {}, [None], _NAN, float("inf"), float("-inf"), 0, -1, 0.5]
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every scalar and every empty list or object inside ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    children = list(items)
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    body = copy.deepcopy(_FUZZ_BASES[name])
+    *parents, last = draw(st.sampled_from(list(_leaf_paths(body))))
+    value = draw(st.sampled_from(_FUZZ_VALUES))
+    parent = body
+    for key in parents:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return name.split("-")[0], body
+
+
+@settings(max_examples=500)
+@given(_mutated_configs())
+def test_mutated_config_never_escapes_main(command_and_body):
+    command, body = command_and_body
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = cfg_file(Path(tmp), body)
+        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)

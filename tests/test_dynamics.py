@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from flexfunc import dynamics, equilibria, model, rng
+from flexfunc import bilinear, dynamics, equilibria, model, rng
 from flexfunc.dynamics import Ensemble, Schedule
 from flexfunc.model import FlexParams, reference_params
 
@@ -27,6 +27,42 @@ def test_schedule_validation():
         Schedule(breakpoints=(0.0, 1.0, 1.0), u_values=(0.1,) * 3, B_values=(0.1,) * 3)
     with pytest.raises(ValueError, match="outside"):
         Schedule.constant(1.5, 0.5)
+
+
+def _evolve(times, dt=None):
+    from flexfunc.generator import build_generator, evolve_pdf, point_mass_pdf
+
+    gen = build_generator(reference_params(), 0.2, 0.4, n_cells=32)
+    return evolve_pdf(gen, point_mass_pdf(gen.grid, 0.5), times, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "build,argument",
+    [
+        pytest.param(lambda: _evolve([math.nan]), "times", id="evolve-times-nan"),
+        pytest.param(lambda: _evolve([1.0, math.nan]), "times", id="evolve-later-time-nan"),
+        pytest.param(lambda: _evolve([1.0, math.inf]), "times", id="evolve-time-inf"),
+        pytest.param(lambda: _evolve([1.0], dt=math.nan), "dt", id="evolve-dt-nan"),
+        pytest.param(lambda: _evolve([1.0], dt=math.inf), "dt", id="evolve-dt-inf"),
+        pytest.param(
+            lambda: Schedule((0.0, math.nan), (0.1, 0.9), (0.4, 0.4)), "breakpoints", id="schedule-nan"
+        ),
+        pytest.param(
+            lambda: Schedule((0.0, math.inf), (0.1, 0.9), (0.4, 0.4)), "breakpoints", id="schedule-inf"
+        ),
+        pytest.param(
+            lambda: Schedule((0.0, 1.0, math.nan), (0.1,) * 3, (0.4,) * 3),
+            "breakpoints",
+            id="schedule-last-nan",
+        ),
+        pytest.param(lambda: bilinear.BilinearParams(r1=math.nan), "r1", id="bilinear-r1-nan"),
+        pytest.param(lambda: bilinear.BilinearParams(r2=math.inf), "r2", id="bilinear-r2-inf"),
+        pytest.param(lambda: bilinear.BilinearParams(x0=math.nan), "x0", id="bilinear-x0-nan"),
+    ],
+)
+def test_non_finite_time_and_rate_arguments_are_rejected(build, argument):
+    with pytest.raises(ValueError, match=argument):
+        build()
 
 
 def test_schedule_lookup():

@@ -116,14 +116,6 @@ def test_validate_beta_positive_entry():
     assert any("beta" in v for v in rep.violations)
 
 
-def test_validate_or_raise(p):
-    with pytest.warns(UserWarning):
-        model.validate_or_raise(p)
-    # lam=1 default still warns on the way to the raise
-    with pytest.warns(UserWarning), pytest.raises(ValueError, match="invalid parameters"):
-        model.validate_or_raise(FlexParams(C=-1.0))
-
-
 def test_dict_round_trip(p):
     d = p.to_dict()
     assert d["lambda"] == p.lam
