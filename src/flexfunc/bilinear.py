@@ -158,6 +158,8 @@ def strong_convergence_study(
         for i in range(dw.shape[1]):
             x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
         errors[j] = np.mean(np.abs(x - x_exact_end))
+    if not errors.any():
+        raise ValueError("every strong error is 0, so there is no slope to fit")
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceStudy(dts=dts, errors=errors, slope=slope)
 

@@ -37,7 +37,7 @@ from .generator import (
     write_stationary_csv,
 )
 from .model import FlexParams, validate
-from .stability import certify_bounded, certify_stable, max_stable_noise, min_drift_gain, stable_radius
+from .stability import certify_bounded, certify_stable, max_stable_noise, min_drift_gain
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,12 +91,27 @@ def _int(value, name: str, low=-math.inf) -> int:
 
 _count = functools.partial(_int, low=1)
 _seed = functools.partial(_int, low=0)
+_n_cells = functools.partial(_int, low=16)
 
 
 def _finite(value, name: str) -> float:
     number = _number(value, name)
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _unit(value, name: str) -> float:
+    number = _finite(value, name)
+    if not 0.0 <= number <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+    return number
+
+
+def _corner(value, name: str) -> float:
+    number = _finite(value, name)
+    if number not in (0.0, 1.0):
+        raise ConfigError(f"{name} must be 0 or 1 (a corner equilibrium), got {value!r}")
     return number
 
 
@@ -190,11 +205,12 @@ def _params(value, name: str) -> FlexParams:
 
 
 _floats = _list(_finite, nonempty=True)
+_units = _list(_unit, nonempty=True)
 
 
 def _x0(value, name: str) -> list[float]:
     """One start, or a nonempty list of starts."""
-    return _floats(value, name) if isinstance(value, list) else [_finite(value, name)]
+    return _units(value, name) if isinstance(value, list) else [_unit(value, name)]
 
 
 _CONSTANT = _object({"u": (_finite, _REQUIRED), "B": (_finite, _REQUIRED)}, Schedule.constant)
@@ -215,11 +231,11 @@ _RANGE = _object(
 
 
 def _sweep_values(value, name: str) -> list[float]:
-    """A nonempty list of values, or a start/stop/count range."""
+    """A nonempty list of values in [0, 1], or a start/stop/count range."""
     if isinstance(value, dict):
         spec = _RANGE(value, name)
-        return [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
-    return _floats(value, name)
+        value = np.linspace(spec["start"], spec["stop"], spec["count"]).tolist()
+    return _units(value, name)
 
 
 def _simulate(**block) -> dict:
@@ -251,10 +267,10 @@ _SIMULATE = _object({
 }, _simulate)
 _EIGEN_MODE = _one_of("slowest", "fastest")
 _DENSITY = _object({
-    "u": (_finite, _REQUIRED),
-    "B": (_finite, _REQUIRED),
-    "n_cells": (_int, 200),
-    "initial": (_object({"kind": (_one_of("point", "uniform"), _REQUIRED), "x": (_finite, 0.5)}),
+    "u": (_unit, _REQUIRED),
+    "B": (_unit, _REQUIRED),
+    "n_cells": (_n_cells, 200),
+    "initial": (_object({"kind": (_one_of("point", "uniform"), _REQUIRED), "x": (_unit, 0.5)}),
                 {"kind": "point"}),
     "times": (_floats, None),
     "dt": (_positive, None),
@@ -266,13 +282,13 @@ _DENSITY = _object({
 _SWEEP = _object({
     "u_values": (_sweep_values, _REQUIRED),
     "B_values": (_sweep_values, _REQUIRED),
-    "n_cells": (_int, 200),
+    "n_cells": (_n_cells, 200),
     "output": (_text, "sweep.csv"),
     "eigen_mode": (_EIGEN_MODE, "slowest"),
 })
 _CERTIFY = _object({
-    "u_star": (_finite, _REQUIRED),
-    "B_star": (_finite, _REQUIRED),
+    "u_star": (_corner, _REQUIRED),
+    "B_star": (_unit, _REQUIRED),
     "theta": (_finite, 0.5),
     "target_radius": (_finite, 1.0),
     "grid_n": (_int, 2001),
@@ -376,23 +392,13 @@ def cmd_simulate(cfg: dict, out: str) -> int:
 def cmd_density(cfg: dict, out: str) -> int:
     params, block = cfg["params"], cfg["density"]
     prefix, write, initial = block["prefix"], block["write"], block["initial"]
-    out = _out_dir(out)
 
     gen = build_generator(params, block["u"], block["B"], n_cells=block["n_cells"])
     point = initial["kind"] == "point"
     pdf0 = point_mass_pdf(gen.grid, initial["x"]) if point else np.full(gen.n_cells, 1.0)
-
     if "transient" in write or "cdf" in write:
         series = evolve_pdf(gen, pdf0, block["times"], dt=block["dt"])
-        if "transient" in write:
-            series.to_csv(out / f"{prefix}_transient.csv")
-        if "cdf" in write:
-            series.cumulative().to_csv(out / f"{prefix}_cdf.csv", value_label="cdf")
-
     pdf_inf = stationary_pdf(gen)
-    if "stationary" in write:
-        write_stationary_csv(out / f"{prefix}_stationary.csv", gen.grid, pdf_inf)
-
     mean, var = stationary_moments(gen)
     info = {
         "u": block["u"], "B": block["B"], "n_cells": block["n_cells"],
@@ -401,6 +407,14 @@ def cmd_density(cfg: dict, out: str) -> int:
         "eigen_mode": block["eigen_mode"],
         "spectral_gap": spectral_gap(gen, mode=block["eigen_mode"]),
     }
+
+    out = _out_dir(out)
+    if "transient" in write:
+        series.to_csv(out / f"{prefix}_transient.csv")
+    if "cdf" in write:
+        series.cumulative().to_csv(out / f"{prefix}_cdf.csv", value_label="cdf")
+    if "stationary" in write:
+        write_stationary_csv(out / f"{prefix}_stationary.csv", gen.grid, pdf_inf)
     (out / f"{prefix}_info.json").write_text(json.dumps(info, indent=2) + "\n", encoding="utf-8")
     print(f"wrote density outputs ({', '.join(write)}) and {prefix}_info.json to {out}")
     return EXIT_OK
@@ -409,13 +423,13 @@ def cmd_density(cfg: dict, out: str) -> int:
 def cmd_sweep(cfg: dict, out: str) -> int:
     params, block = cfg["params"], cfg["sweep"]
     n_cells, mode = block["n_cells"], block["eigen_mode"]
-    path = _out_dir(out) / block["output"]
 
     rows = []
     for u in block["u_values"]:  # u-major row order
         for B in block["B_values"]:
             gen = build_generator(params, u, B, n_cells=n_cells)
             rows.append((u, B, *stationary_moments(gen), spectral_gap(gen, mode=mode)))
+    path = _out_dir(out) / block["output"]
     write_csv(path, "u,B,mean,var,gap", zip(*rows))
     print(f"wrote {len(rows)} sweep rows to {path}")
     return EXIT_OK
@@ -425,17 +439,15 @@ def cmd_certify(cfg: dict, out: str) -> int:
     params, block = cfg["params"], cfg["certify"]
     u_star, B_star, theta = block["u_star"], block["B_star"], block["theta"]
     target_radius, grid_n = block["target_radius"], block["grid_n"]
-    out = _out_dir(out)
 
     certs = [
         certify_deterministic(params, u_star, B_star, grid_n=grid_n),
         certify_bounded(params, u_star, B_star, grid_n=grid_n),
         certify_stable(params, u_star, B_star, theta=theta, grid_n=grid_n),
     ]
-    eta1 = min_drift_gain(params, B_star)
-    radius = stable_radius(params, B_star, theta) if eta1 > 0.0 else 0.0
+    radius = certs[2].threshold  # 0 when eta1 = 0
     sigma_max = None
-    if eta1 > 0.0:
+    if min_drift_gain(params, B_star) > 0.0:
         sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta)
     radius_ok = radius >= target_radius - 1e-12
     overall = all(c.passed for c in certs) and radius_ok
@@ -444,7 +456,7 @@ def cmd_certify(cfg: dict, out: str) -> int:
         "theta": theta, "target_radius": target_radius, "stable_radius": radius,
         "radius_meets_target": radius_ok, "sigma_max": sigma_max, "overall_pass": overall,
     }
-    (out / block["output"]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    (_out_dir(out) / block["output"]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     for c in certs:
         state = "pass" if c.passed else "FAIL"
@@ -458,6 +470,10 @@ def cmd_certify(cfg: dict, out: str) -> int:
 def cmd_examples(cfg: dict, out: str) -> int:
     block, seed = cfg["examples"], cfg["seed"]
     toys, t_end, prefix = block["systems"], block["t_end"], block["prefix"]
+    conv = block["convergence"]
+    study = bilinear.strong_convergence_study(
+        toys[0], dts=conv["dts"], n_paths=conv["n_paths"], master_seed=seed, t_end=conv["t_end"]
+    )
     out = _out_dir(out)
 
     for i, bp in enumerate(toys, start=1):
@@ -465,11 +481,6 @@ def cmd_examples(cfg: dict, out: str) -> int:
         mean.to_csv(out / f"{prefix}_system{i}_mean.csv")
         times, x_em, x_exact = bilinear.demo_paths(bp, t_end, block["n_steps"], seed + i)
         bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", times, x_em, x_exact)
-
-    conv = block["convergence"]
-    study = bilinear.strong_convergence_study(
-        toys[0], dts=conv["dts"], n_paths=conv["n_paths"], master_seed=seed, t_end=conv["t_end"]
-    )
     study.to_csv(out / f"{prefix}_convergence.csv")
     print(f"wrote {len(toys)} system(s) and convergence table to {out}")
     print(f"strong-error slope: {study.slope!r}")

@@ -97,10 +97,6 @@ class Ensemble:
     pre_clamp_max: float
 
     @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
     def terminal(self) -> np.ndarray:
         return self.states[:, -1]
 

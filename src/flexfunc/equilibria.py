@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import StabilityCertificate, failure_intervals
+from .certificates import StabilityCertificate, grid_certificate
 from .model import (
     FlexParams,
     charge_response,
@@ -25,9 +25,6 @@ from .model import (
     drift,
     price_response,
 )
-
-#: half-width of the ball around x* excluded from certification grids
-EXCLUSION_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,8 @@ def certify_deterministic(
 ) -> StabilityCertificate:
     """Grid check of asymptotic stability of x* for constant (u*, B*).
 
-    Evaluates dV/dt = drift(x) * (x - x*) for V = (x - x*)^2 / 2 on a
-    uniform grid excluding a tiny ball around x* and requires it negative
+    Evaluates dV/dt = drift(x) * (x - x*) for V = (x - x*)^2 / 2 on the
+    certificate grid (see :func:`grid_certificate`) and requires it negative
     everywhere.  At the baseline endpoints only the demand branch that can
     actually occur is sampled (B* = 0 admits only rising demand, so only
     x < x* is meaningful; B* = 1 only x > x*); an empty sampled region
@@ -125,35 +122,15 @@ def certify_deterministic(
         raise ValueError(f"grid_n must be at least 100, got {grid_n}")
     if not 0.0 <= B_star <= 1.0:
         raise ValueError(f"B_star {B_star} outside [0, 1]")
-    eq = solve_equilibrium(params, u_star)
-    x_star = eq.x_star
-    xs = np.linspace(0.0, 1.0, grid_n)
-    keep = np.abs(xs - x_star) > EXCLUSION_RADIUS
-    if B_star == 0.0:
-        keep &= xs < x_star
-    elif B_star == 1.0:
-        keep &= xs > x_star
-    xs = xs[keep]
-    if xs.size == 0:
-        return StabilityCertificate(
-            claim="det-asymptotic",
-            params_hash=params.params_hash(),
-            region=(x_star, x_star),
-            threshold=0.0,
-            margin=-np.inf,
-            passed=True,
-            degenerate=True,
-        )
-    delta = demand_change(params, xs, u_star)
-    dvdt = demand_deviation(params, delta, B_star) / params.C * (xs - x_star)
-    margin = float(np.max(dvdt))
-    bad = dvdt >= 0.0
-    return StabilityCertificate(
-        claim="det-asymptotic",
-        params_hash=params.params_hash(),
-        region=(float(xs[0]), float(xs[-1])),
-        threshold=0.0,
-        margin=margin,
-        passed=bool(margin < 0.0),
-        failures=failure_intervals(xs, bad),
+    x_star = solve_equilibrium(params, u_star).x_star
+    side = {0.0: np.less, 1.0: np.greater}.get(B_star)
+
+    def dvdt(xs):
+        delta = demand_change(params, xs, u_star)
+        return demand_deviation(params, delta, B_star) / params.C * (xs - x_star)
+
+    return grid_certificate(
+        "det-asymptotic", params.params_hash(), x_star, grid_n, dvdt,
+        keep=None if side is None else lambda xs: side(xs, x_star),
+        strict=True,
     )

@@ -252,16 +252,6 @@ def evolve_pdf(
     return DistributionSeries(times=times, grid=gen.grid, pdfs=out)
 
 
-def cdf_series(
-    gen: GeneratorMatrix,
-    pdf0: np.ndarray,
-    times,
-    dt: float | None = None,
-) -> DistributionSeries:
-    """Like :func:`evolve_pdf` but rows hold cumulative probabilities."""
-    return evolve_pdf(gen, pdf0, times, dt=dt).cumulative()
-
-
 def stationary_pdf(gen: GeneratorMatrix) -> np.ndarray:
     """Stationary density of the chain.
 

@@ -24,8 +24,7 @@ import warnings
 
 import numpy as np
 
-from .certificates import StabilityCertificate, failure_intervals
-from .equilibria import EXCLUSION_RADIUS
+from .certificates import StabilityCertificate, failed_degenerate, grid_certificate
 from .model import (
     FlexParams,
     charge_response,
@@ -68,11 +67,6 @@ def min_drift_gain(params: FlexParams, B_star: float) -> float:
     return params.lam / params.C * min(b, 1.0 - b)
 
 
-def _sample(x_star: float, grid_n: int) -> np.ndarray:
-    xs = np.linspace(0.0, 1.0, grid_n)
-    return xs[np.abs(xs - x_star) > EXCLUSION_RADIUS]
-
-
 def certify_bounded(
     params: FlexParams,
     u_star: float,
@@ -90,42 +84,17 @@ def certify_bounded(
     b = _check_b(B_star)
     eta1 = min_drift_gain(params, b)
     if eta1 == 0.0:
-        return StabilityCertificate(
-            claim="stoch-bounded",
-            params_hash=params.params_hash(),
-            region=(x_star, x_star),
-            threshold=np.inf,
-            margin=np.inf,
-            passed=False,
-            degenerate=True,
-        )
+        return failed_degenerate("stoch-bounded", params.params_hash(), x_star, np.inf)
     threshold = params.sigma_x**2 / (32.0 * eta1)
-    xs = _sample(x_star, grid_n)
-    g = price_response(params, u_star)
-    damping = np.abs(logistic_response(params, charge_response(params, xs) + g)) * np.abs(
-        xs - x_star
-    )
-    xs = xs[damping >= threshold]
-    if xs.size == 0:
-        return StabilityCertificate(
-            claim="stoch-bounded",
-            params_hash=params.params_hash(),
-            region=(x_star, x_star),
-            threshold=threshold,
-            margin=-np.inf,
-            passed=True,
-            degenerate=True,
-        )
-    lv = lyapunov_rate(params, xs, u_star, b)
-    margin = float(np.max(lv))
-    return StabilityCertificate(
-        claim="stoch-bounded",
-        params_hash=params.params_hash(),
-        region=(float(xs[0]), float(xs[-1])),
-        threshold=threshold,
-        margin=margin,
-        passed=bool(margin <= 0.0),
-        failures=failure_intervals(xs, lv > 0.0),
+
+    def damped(xs):
+        g = price_response(params, u_star)
+        damping = np.abs(logistic_response(params, charge_response(params, xs) + g))
+        return damping * np.abs(xs - x_star) >= threshold
+
+    return grid_certificate(
+        "stoch-bounded", params.params_hash(), x_star, grid_n,
+        lambda xs: lyapunov_rate(params, xs, u_star, b), keep=damped, threshold=threshold,
     )
 
 
@@ -155,42 +124,15 @@ def certify_stable(
     """
     x_star = _corner(u_star)
     b = _check_b(B_star)
-    eta1 = min_drift_gain(params, b)
-    if eta1 == 0.0:
-        return StabilityCertificate(
-            claim="stoch-stable",
-            params_hash=params.params_hash(),
-            region=(x_star, x_star),
-            threshold=0.0,
-            margin=np.inf,
-            passed=False,
-            degenerate=True,
-        )
+    if min_drift_gain(params, b) == 0.0:
+        return failed_degenerate("stoch-stable", params.params_hash(), x_star, 0.0)
     r = stable_radius(params, b, theta)
-    xs = _sample(x_star, grid_n)
-    xs = xs[np.abs(xs - x_star) <= r]
-    if xs.size == 0:
-        return StabilityCertificate(
-            claim="stoch-stable",
-            params_hash=params.params_hash(),
-            region=(x_star, x_star),
-            threshold=r,
-            margin=-np.inf,
-            passed=True,
-            degenerate=True,
-        )
-    lv = lyapunov_rate(params, xs, u_star, b)
-    margin = float(np.max(lv))
-    lo = max(0.0, x_star - r)
-    hi = min(1.0, x_star + r)
-    return StabilityCertificate(
-        claim="stoch-stable",
-        params_hash=params.params_hash(),
-        region=(lo, hi),
+    return grid_certificate(
+        "stoch-stable", params.params_hash(), x_star, grid_n,
+        lambda xs: lyapunov_rate(params, xs, u_star, b),
+        keep=lambda xs: np.abs(xs - x_star) <= r,
         threshold=r,
-        margin=margin,
-        passed=bool(margin <= 0.0),
-        failures=failure_intervals(xs, lv > 0.0),
+        region=(max(0.0, x_star - r), min(1.0, x_star + r)),
     )
 
 
@@ -223,7 +165,7 @@ def max_stable_noise(
     def passes(sigma: float) -> bool:
         p = params.with_sigma(sigma)
         cert = certify_stable(p, u_star, B_star, theta=theta, grid_n=grid_n)
-        return cert.passed and stable_radius(p, B_star, theta) >= target_radius - 1e-12
+        return cert.passed and cert.threshold >= target_radius - 1e-12
 
     sigma_formula = float(np.sqrt(2.0 * eta1 * theta / target_radius))
     if sigma_formula >= cap:

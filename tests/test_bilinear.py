@@ -121,3 +121,10 @@ def test_csv_outputs(tmp_path):
     lines = g.read_text().splitlines()
     assert lines[0] == "t,x_em,x_exact"
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("bp", [BilinearParams(1.0, -1.2, 0.0), BilinearParams(0.0, 0.0, 1.0)])
+def test_convergence_study_refuses_all_zero_errors(bp):
+    # x0 = 0, or no drift and no noise: every step size is exact, no slope exists
+    with pytest.raises(ValueError, match="every strong error is 0"):
+        bilinear.strong_convergence_study(bp, dts=[0.25, 0.125], n_paths=4)

@@ -249,7 +249,7 @@ def test_density_full_outputs(tmp_path):
 def test_density_evolves_once_for_transient_and_cdf(tmp_path, monkeypatch):
     import flexfunc.cli as cli
     from flexfunc import generator
-    from flexfunc.generator import build_generator, cdf_series, point_mass_pdf
+    from flexfunc.generator import build_generator, point_mass_pdf
     from flexfunc.model import FlexParams
 
     calls = []
@@ -277,7 +277,7 @@ def test_density_evolves_once_for_transient_and_cdf(tmp_path, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     gen = build_generator(FlexParams.from_dict(REF_PARAMS), 0.2, 0.4, n_cells=32)
-    cdf_series(gen, point_mass_pdf(gen.grid, 0.5), [0.5, 1.5]).to_csv(
+    evolve_pdf(gen, point_mass_pdf(gen.grid, 0.5), [0.5, 1.5]).cumulative().to_csv(
         tmp_path / "ref_cdf.csv", value_label="cdf"
     )
     assert (tmp_path / "d_cdf.csv").read_bytes() == (tmp_path / "ref_cdf.csv").read_bytes()
@@ -666,6 +666,16 @@ def _small(command, **changes):
         ("examples", _small("examples", n_steps=0), {}, "n_steps"),
         ("examples", _SMALL["examples"], {"seed": -5}, "seed"),
         ("density", _small("density", initial={"kind": "uniform", "x": "zz"}), {}, "x"),
+        ("density", _small("density", u=1.5), {}, "u"),
+        ("density", _small("density", B=-0.1), {}, "B"),
+        ("density", _small("density", initial={"kind": "point", "x": 1.5}), {}, "x"),
+        ("density", _small("density", n_cells=8), {}, "n_cells"),
+        ("sweep", _small("sweep", u_values=[0.5, 1.5]), {}, "u_values"),
+        ("sweep", _small("sweep", B_values={"start": 0.5, "stop": 1.5, "count": 3}), {}, "B_values"),
+        ("sweep", _small("sweep", n_cells=15), {}, "n_cells"),
+        ("certify", _small("certify", u_star=0.5), {}, "u_star"),
+        ("certify", _small("certify", B_star=1.5), {}, "B_star"),
+        ("simulate", _small("simulate", x0=[0.5, 1.5]), {}, "x0"),
     ],
 )
 def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key, capsys):
@@ -673,6 +683,23 @@ def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f'"{key}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,block,message",
+    [
+        ("examples", _small("examples", convergence={"dts": [0.3, 0.7]}), "finest dt"),
+        ("examples", _small("examples", systems=[{"x0": 0.0}]), "every strong error is 0"),
+        ("density", _small("density", times=[1.0, 0.5]), "nondecreasing"),
+    ],
+)
+def test_library_domain_error_is_refused_before_any_output(tmp_path, command, block, message, capsys):
+    # checks that live in the library, not in a config key, still run before --out exists
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

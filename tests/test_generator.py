@@ -131,7 +131,7 @@ def test_evolve_validation(gen):
 
 def test_cdf_series(gen):
     pdf0 = generator.point_mass_pdf(gen.grid, 0.5)
-    series = generator.cdf_series(gen, pdf0, [0.5, 5.0])
+    series = generator.evolve_pdf(gen, pdf0, [0.5, 5.0]).cumulative()
     assert np.all(np.diff(series.pdfs, axis=1) >= -1e-12)
     assert series.pdfs[:, -1] == pytest.approx(1.0, abs=1e-9)
 
@@ -208,7 +208,7 @@ def test_stationary_csv(tmp_path, gen):
 
 def test_series_csv_label(tmp_path, gen):
     pdf0 = generator.point_mass_pdf(gen.grid, 0.5)
-    series = generator.cdf_series(gen, pdf0, [1.0])
+    series = generator.evolve_pdf(gen, pdf0, [1.0]).cumulative()
     path = tmp_path / "cdf.csv"
     series.to_csv(path, value_label="cdf")
     assert path.read_text().splitlines()[0] == "t,x,cdf"
