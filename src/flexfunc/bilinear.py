@@ -144,10 +144,7 @@ def strong_convergence_study(
             raise ValueError(f"dt {dt} is not a whole multiple of the finest dt {dt_fine}")
         ratios.append(r)
 
-    z = np.empty((n_paths, n_fine))
-    for p in range(n_paths):
-        z[p] = rng.path_normals(master_seed, p, n_fine)
-    dw_fine = math.sqrt(dt_fine) * z
+    dw_fine = math.sqrt(dt_fine) * rng.normals(master_seed, range(n_paths), n_fine)
     w_end = dw_fine.sum(axis=1)
     x_exact_end = bp.x0 * np.exp(bp.as_growth * t_end + bp.r2 * w_end)
 
@@ -171,13 +168,11 @@ def as_growth_estimate(
     master_seed: int = 99,
 ) -> float:
     """Monte Carlo estimate of the almost-sure growth rate log|x(T)| / T."""
-    rates = np.empty(n_paths)
-    for p in range(n_paths):
-        z = rng.path_normals(master_seed, p, 1)
-        w_end = math.sqrt(t_end) * z[0]
-        x_end = bp.x0 * math.exp(bp.as_growth * t_end + bp.r2 * w_end)
-        rates[p] = math.log(abs(x_end)) / t_end
-    return float(rates.mean())
+    w_end = math.sqrt(t_end) * rng.normals(master_seed, range(n_paths), 1)[:, 0]
+    rates = [
+        math.log(abs(bp.x0 * math.exp(bp.as_growth * t_end + bp.r2 * w))) / t_end for w in w_end
+    ]
+    return float(np.mean(rates))
 
 
 def demo_paths(

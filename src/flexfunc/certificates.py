@@ -1,7 +1,7 @@
 """Grid-checked stability certificates: the one sampling policy and its result.
 
 Every certificate checks a Lyapunov-type rate on the same sample: a uniform
-grid of ``grid_n`` points on [0, 1], minus the ball of radius
+grid of ``grid_n`` >= ``MIN_GRID_N`` points on [0, 1], minus the ball of radius
 ``EXCLUSION_RADIUS`` around x* (where every rate vanishes), minus whatever
 the claim's ``keep`` predicate drops.  :func:`grid_certificate` owns that
 sample, the vacuous pass on an empty sample, and the margin, pass and
@@ -17,6 +17,14 @@ import numpy as np
 
 #: half-width of the ball around x* excluded from certification grids
 EXCLUSION_RADIUS = 1e-6
+#: fewest grid points a certifier accepts
+MIN_GRID_N = 100
+
+
+def check_grid_n(grid_n: int) -> None:
+    """Refuse a certificate grid of fewer than ``MIN_GRID_N`` points."""
+    if grid_n < MIN_GRID_N:
+        raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
 
 
 @dataclass(frozen=True)

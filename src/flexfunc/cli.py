@@ -25,8 +25,9 @@ import numpy as np
 
 from . import bilinear
 from ._csvio import write_csv
+from .certificates import MIN_GRID_N
 from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
-from .equilibria import certify_deterministic
+from .equilibria import CORNERS, certify_deterministic
 from .generator import (
     build_generator,
     evolve_pdf,
@@ -92,6 +93,7 @@ def _int(value, name: str, low=-math.inf) -> int:
 _count = functools.partial(_int, low=1)
 _seed = functools.partial(_int, low=0)
 _n_cells = functools.partial(_int, low=16)
+_grid_n = functools.partial(_int, low=MIN_GRID_N)
 
 
 def _finite(value, name: str) -> float:
@@ -110,7 +112,7 @@ def _unit(value, name: str) -> float:
 
 def _corner(value, name: str) -> float:
     number = _finite(value, name)
-    if number not in (0.0, 1.0):
+    if number not in CORNERS:
         raise ConfigError(f"{name} must be 0 or 1 (a corner equilibrium), got {value!r}")
     return number
 
@@ -291,7 +293,7 @@ _CERTIFY = _object({
     "B_star": (_unit, _REQUIRED),
     "theta": (_finite, 0.5),
     "target_radius": (_finite, 1.0),
-    "grid_n": (_int, 2001),
+    "grid_n": (_grid_n, 2001),
     "output": (_text, "certificates.json"),
 })
 _SYSTEM = _object(
@@ -370,18 +372,19 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     params, block = cfg["params"], cfg["simulate"]
     x0_list, schedule, dt, t_end = block["x0"], block["schedule"], block["dt"], block["t_end"]
     stem = block["output"].removesuffix(".csv")
-    out = _out_dir(out)
 
     if block["mode"] == "ode":
-        for i, x0 in enumerate(x0_list, start=1):
-            name = block["output"] if len(x0_list) == 1 else f"{stem}_{i:02d}.csv"
-            integrate_ode(params, x0, schedule, dt=dt, t_end=t_end).to_csv(out / name)
-        print(f"wrote {len(x0_list)} trajectory file(s) to {out}")
+        trajs = [integrate_ode(params, x0, schedule, dt=dt, t_end=t_end) for x0 in x0_list]
+        out = _out_dir(out)
+        for i, traj in enumerate(trajs, start=1):
+            traj.to_csv(out / (block["output"] if len(trajs) == 1 else f"{stem}_{i:02d}.csv"))
+        print(f"wrote {len(trajs)} trajectory file(s) to {out}")
         return EXIT_OK
 
     ens = simulate_sde(
         params, x0_list[0], schedule, block["n_paths"], master_seed=cfg["seed"], dt=dt, t_end=t_end
     )
+    out = _out_dir(out)
     ens.to_csv(out / f"{stem}_summary.csv")
     for i in range(block["sample_paths"]):
         Trajectory(ens.times, ens.states[i]).to_csv(out / f"{stem}_path{i + 1:02d}.csv")
@@ -474,13 +477,16 @@ def cmd_examples(cfg: dict, out: str) -> int:
     study = bilinear.strong_convergence_study(
         toys[0], dts=conv["dts"], n_paths=conv["n_paths"], master_seed=seed, t_end=conv["t_end"]
     )
+    systems = [
+        (bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end),
+         bilinear.demo_paths(bp, t_end, block["n_steps"], seed + i))
+        for i, bp in enumerate(toys, start=1)
+    ]
     out = _out_dir(out)
 
-    for i, bp in enumerate(toys, start=1):
-        mean = bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end)
+    for i, (mean, paths) in enumerate(systems, start=1):
         mean.to_csv(out / f"{prefix}_system{i}_mean.csv")
-        times, x_em, x_exact = bilinear.demo_paths(bp, t_end, block["n_steps"], seed + i)
-        bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", times, x_em, x_exact)
+        bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", *paths)
     study.to_csv(out / f"{prefix}_convergence.csv")
     print(f"wrote {len(toys)} system(s) and convergence table to {out}")
     print(f"strong-error slope: {study.slope!r}")

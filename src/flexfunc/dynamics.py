@@ -20,14 +20,7 @@ import numpy as np
 
 from . import rng
 from ._csvio import write_csv
-from .model import (
-    FlexParams,
-    charge_response,
-    demand_deviation,
-    diffusion,
-    logistic_response,
-    price_response,
-)
+from .model import FlexParams, deviation, diffusion, price_response
 
 _BLOCK = 1024  # paths per noise buffer; bounds its memory
 
@@ -142,25 +135,18 @@ def _check_x0(x0: float) -> float:
     return x0
 
 
-def _segment_tables(params: FlexParams, schedule: Schedule):
-    """Price response and baseline per schedule segment (g is the slow part)."""
-    g_seg = [price_response(params, u) for u in schedule.u_values]
-    return g_seg, list(schedule.B_values)
+def _segments(params: FlexParams, schedule: Schedule, *times: np.ndarray):
+    """Per-segment g(u) and B tables, and the segment of every entry of each ``times``.
 
-
-def _inputs_at(schedule: Schedule, g_seg, B_seg, times: np.ndarray):
-    """g(u) and B of the schedule segment each of ``times`` falls in."""
-    seg = np.searchsorted(schedule.breakpoints, times, side="right") - 1
-    return np.asarray(g_seg)[seg], np.asarray(B_seg)[seg]
-
-
-def _deviation(params: FlexParams, x, g, B):
-    """Demand deviation dD at states ``x`` for price response ``g`` and baseline ``B``."""
-    return demand_deviation(params, logistic_response(params, charge_response(params, x) + g), B)
+    g is evaluated once per segment, not once per time point: it is the slow part.
+    """
+    g_seg = np.array([price_response(params, u) for u in schedule.u_values])
+    segs = [np.searchsorted(schedule.breakpoints, t, side="right") - 1 for t in times]
+    return g_seg, np.array(schedule.B_values), segs
 
 
 def _drift_scalar(params: FlexParams, x: float, g: float, B: float) -> float:
-    """``_deviation(...) / C`` for one float state; the RK4 loop's fast path."""
+    """``model.deviation(...) / C`` for one float state; the RK4 loop's fast path."""
     a1, a2, a3, a4 = params.alpha
     y = 2.0 * x - 1.0
     y2 = y * y
@@ -184,34 +170,29 @@ def integrate_ode(
     outside, which the responses tolerate.  The demand column is computed
     in one array pass from the per-segment g(u) table, so the price
     response is evaluated once per schedule segment, not once per time
-    point.
+    point.  The segments of every step's start, midpoint and end are looked
+    up before the loop.
     """
     x = _check_x0(x0)
     dt, times = _grid(params, dt, t_end)
-    g_seg, B_seg = _segment_tables(params, schedule)
-    bp = schedule.breakpoints
-
-    def seg_at(t: float) -> int:
-        return bisect_right(bp, t) - 1 if t >= 0.0 else 0
+    t0 = times[:-1]
+    g_seg, B_seg, (seg, seg_h, seg_1) = _segments(params, schedule, times, t0 + 0.5 * dt, t0 + dt)
+    g, B = g_seg.tolist(), B_seg.tolist()
 
     states = np.empty(times.shape)
     states[0] = x
-    for i in range(len(times) - 1):
-        t = times[i]
-        j0 = seg_at(t)
-        jh = seg_at(t + 0.5 * dt)
-        j1 = seg_at(t + dt)
-        k1 = _drift_scalar(params, x, g_seg[j0], B_seg[j0])
-        k2 = _drift_scalar(params, x + 0.5 * dt * k1, g_seg[jh], B_seg[jh])
-        k3 = _drift_scalar(params, x + 0.5 * dt * k2, g_seg[jh], B_seg[jh])
-        k4 = _drift_scalar(params, x + dt * k3, g_seg[j1], B_seg[j1])
+    for i, (j0, jh, j1) in enumerate(zip(seg.tolist(), seg_h.tolist(), seg_1.tolist())):
+        k1 = _drift_scalar(params, x, g[j0], B[j0])
+        k2 = _drift_scalar(params, x + 0.5 * dt * k1, g[jh], B[jh])
+        k3 = _drift_scalar(params, x + 0.5 * dt * k2, g[jh], B[jh])
+        k4 = _drift_scalar(params, x + dt * k3, g[j1], B[j1])
         x += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(x):
-            raise RuntimeError(f"non-finite state at t={t + dt}")
+            raise RuntimeError(f"non-finite state at t={times[i] + dt}")
         x = min(1.0, max(0.0, x))
         states[i + 1] = x
-    g_t, B_t = _inputs_at(schedule, g_seg, B_seg, times)
-    demands = B_t + _deviation(params, states, g_t, B_t)
+    g_t, B_t = g_seg[seg], B_seg[seg]
+    demands = B_t + deviation(params, states, g_t, B_t)
     return Trajectory(times=times, states=states, demands=demands)
 
 
@@ -228,8 +209,8 @@ def simulate_sde(
 
     Path ``p`` draws all its increments from the stream keyed by
     (master_seed, p).  Paths advance together in blocks of at most
-    ``_BLOCK``, which bounds the noise buffer; the drift is the same
-    array kernel that computes the ODE demand column.
+    ``_BLOCK``, which bounds the noise buffer; the drift is
+    ``model.deviation``, the kernel that also computes the ODE demand column.
     """
     x0 = _check_x0(x0)
     rng.check_seed(master_seed)
@@ -237,20 +218,19 @@ def simulate_sde(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     dt, times = _grid(params, dt, t_end)
     n_steps = len(times) - 1
-    g_step, B_step = _inputs_at(schedule, *_segment_tables(params, schedule), times[:-1])
+    g_seg, B_seg, (seg,) = _segments(params, schedule, times[:-1])
+    g_step, B_step = g_seg[seg], B_seg[seg]
     sqdt = math.sqrt(dt)
 
     states = np.empty((n_paths, len(times)))
     lo, hi = x0, x0
     for p0 in range(0, n_paths, _BLOCK):
         p1 = min(p0 + _BLOCK, n_paths)
-        z = np.empty((p1 - p0, n_steps))
-        for p in range(p0, p1):
-            z[p - p0] = rng.path_normals(master_seed, p, n_steps)
+        z = rng.normals(master_seed, range(p0, p1), n_steps)
         x = np.full(p1 - p0, x0)
         states[p0:p1, 0] = x
         for i in range(n_steps):
-            dd = _deviation(params, x, g_step[i], B_step[i])
+            dd = deviation(params, x, g_step[i], B_step[i])
             x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * z[:, i]
             lo = min(lo, float(x.min()))
             hi = max(hi, float(x.max()))

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import StabilityCertificate, grid_certificate
-from .model import (
-    FlexParams,
-    charge_response,
-    demand_change,
-    demand_deviation,
-    diffusion,
-    drift,
-    price_response,
-)
+from .certificates import StabilityCertificate, check_grid_n, grid_certificate
+from .model import FlexParams, charge_response, diffusion, drift, price_response
+
+#: the corner stochastic equilibria, u* -> x*: full charge at zero price,
+#: empty charge at the price cap
+CORNERS = {0.0: 1.0, 1.0: 0.0}
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def stochastic_equilibria(params: FlexParams) -> list[EquilibriumPoint]:
     """
     pts = []
     problems = []
-    for x_star, u_star in ((1.0, 0.0), (0.0, 1.0)):
+    for u_star, x_star in CORNERS.items():
         dr = drift(params, x_star, u_star, 0.5)
         df = diffusion(params, x_star)
         if abs(dr) > 1e-12 or abs(df) > 1e-12:
@@ -118,19 +114,15 @@ def certify_deterministic(
     x < x* is meaningful; B* = 1 only x > x*); an empty sampled region
     (e.g. u* = 0 with B* = 1) passes vacuously and is flagged degenerate.
     """
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be at least 100, got {grid_n}")
+    check_grid_n(grid_n)
     if not 0.0 <= B_star <= 1.0:
         raise ValueError(f"B_star {B_star} outside [0, 1]")
     x_star = solve_equilibrium(params, u_star).x_star
     side = {0.0: np.less, 1.0: np.greater}.get(B_star)
 
-    def dvdt(xs):
-        delta = demand_change(params, xs, u_star)
-        return demand_deviation(params, delta, B_star) / params.C * (xs - x_star)
-
     return grid_certificate(
-        "det-asymptotic", params.params_hash(), x_star, grid_n, dvdt,
+        "det-asymptotic", params.params_hash(), x_star, grid_n,
+        lambda xs: drift(params, xs, u_star, B_star) * (xs - x_star),
         keep=None if side is None else lambda xs: side(xs, x_star),
         strict=True,
     )

@@ -143,12 +143,6 @@ def logistic_response(params: FlexParams, z):
     return float(val) if scalar else val
 
 
-def demand_change(params: FlexParams, x, u):
-    """Relative demand change delta(x, u) = ell(f(x) + g(u)) in [-1, 1]."""
-    z = np.add(charge_response(params, x), price_response(params, u))
-    return logistic_response(params, z)
-
-
 def demand_deviation(params: FlexParams, delta, B):
     """Demand deviation dD: delta scaled by the one-sided slack at B.
 
@@ -161,18 +155,25 @@ def demand_deviation(params: FlexParams, delta, B):
     return float(val) if scalar_d and scalar_b else val
 
 
+def deviation(params: FlexParams, x, g, B):
+    """Demand deviation dD = slack(B)-scaled ell(f(x) + g) for a price response ``g``.
+
+    The one composition of f, ell and the slack: ``demand`` and ``drift``
+    pass g = g(u); the ODE demand column and the SDE drift pass g from a
+    per-segment table, so the price response is not re-evaluated per state.
+    """
+    return demand_deviation(params, logistic_response(params, charge_response(params, x) + g), B)
+
+
 def demand(params: FlexParams, x, u, B):
     """Total demand D = B + dD(x, u, B), always in [0, 1]."""
-    d = demand_change(params, x, u)
-    dev = demand_deviation(params, d, B)
-    val = np.add(B, dev)
+    val = np.add(B, deviation(params, x, price_response(params, u), B))
     return float(val) if val.ndim == 0 else val
 
 
 def drift(params: FlexParams, x, u, B):
     """State drift dD / C."""
-    dev = demand_deviation(params, demand_change(params, x, u), B)
-    arr = np.asarray(dev) / params.C
+    arr = np.asarray(deviation(params, x, price_response(params, u), B)) / params.C
     return float(arr) if arr.ndim == 0 else arr
 
 

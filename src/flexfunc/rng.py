@@ -30,3 +30,11 @@ def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:
     ints = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
     u = (ints.astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
+
+
+def normals(master_seed: int, paths, n: int) -> np.ndarray:
+    """``n`` standard normal draws per path index of ``paths``, one row per path."""
+    z = np.empty((len(paths), n))
+    for row, path_index in enumerate(paths):
+        z[row] = path_normals(master_seed, path_index, n)
+    return z

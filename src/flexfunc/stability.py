@@ -24,25 +24,17 @@ import warnings
 
 import numpy as np
 
-from .certificates import StabilityCertificate, failed_degenerate, grid_certificate
-from .model import (
-    FlexParams,
-    charge_response,
-    demand_change,
-    demand_deviation,
-    logistic_response,
-    price_response,
-)
-
-_CORNERS = {0.0: 1.0, 1.0: 0.0}  # u* -> x*
+from .certificates import StabilityCertificate, check_grid_n, failed_degenerate, grid_certificate
+from .equilibria import CORNERS
+from .model import FlexParams, charge_response, drift, logistic_response, price_response
 
 
 def _corner(u_star: float) -> float:
-    if u_star not in _CORNERS:
+    if u_star not in CORNERS:
         raise ValueError(
             f"(x*, u*) must be a corner stochastic equilibrium, got u*={u_star}"
         )
-    return _CORNERS[u_star]
+    return CORNERS[u_star]
 
 
 def _check_b(B_star: float) -> float:
@@ -56,8 +48,8 @@ def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
     x_star = _corner(u_star)
     _check_b(B_star)
     xs = np.asarray(x, dtype=float)
-    dd = demand_deviation(params, demand_change(params, xs, u_star), B_star)
-    val = dd / params.C * (xs - x_star) + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
+    drift_part = drift(params, xs, u_star, B_star) * (xs - x_star)
+    val = drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
     return float(val) if np.ndim(x) == 0 else val
 
 
@@ -80,15 +72,16 @@ def certify_bounded(
     or 1 gives eta1 = 0 and an empty condition region; that degenerate
     certificate is flagged and does not pass.
     """
+    check_grid_n(grid_n)
     x_star = _corner(u_star)
     b = _check_b(B_star)
     eta1 = min_drift_gain(params, b)
     if eta1 == 0.0:
         return failed_degenerate("stoch-bounded", params.params_hash(), x_star, np.inf)
     threshold = params.sigma_x**2 / (32.0 * eta1)
+    g = price_response(params, u_star)
 
     def damped(xs):
-        g = price_response(params, u_star)
         damping = np.abs(logistic_response(params, charge_response(params, xs) + g))
         return damping * np.abs(xs - x_star) >= threshold
 
@@ -122,6 +115,7 @@ def certify_stable(
     passes vacuously and is flagged degenerate (theta -> 0 limit).  B* at 0
     or 1 gives eta1 = 0: degenerate and failed.
     """
+    check_grid_n(grid_n)
     x_star = _corner(u_star)
     b = _check_b(B_star)
     if min_drift_gain(params, b) == 0.0:
@@ -153,6 +147,7 @@ def max_stable_noise(
     LV check binds and the boundary is bisected.  A formula bound beyond
     ``cap`` is reported as the cap with a warning.
     """
+    check_grid_n(grid_n)
     if not 0.0 < target_radius <= 1.0:
         raise ValueError(f"target_radius must be in (0, 1], got {target_radius}")
     if not 0.0 < theta < 1.0:

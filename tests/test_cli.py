@@ -676,6 +676,7 @@ def _small(command, **changes):
         ("certify", _small("certify", u_star=0.5), {}, "u_star"),
         ("certify", _small("certify", B_star=1.5), {}, "B_star"),
         ("simulate", _small("simulate", x0=[0.5, 1.5]), {}, "x0"),
+        ("certify", _small("certify", grid_n=99), {}, "grid_n"),
     ],
 )
 def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key, capsys):
@@ -692,6 +693,13 @@ def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key
         ("examples", _small("examples", convergence={"dts": [0.3, 0.7]}), "finest dt"),
         ("examples", _small("examples", systems=[{"x0": 0.0}]), "every strong error is 0"),
         ("density", _small("density", times=[1.0, 0.5]), "nondecreasing"),
+        ("simulate", _small("simulate", dt=1.0, t_end=0.5), "t_end must be at least dt"),
+        (
+            "simulate",
+            _small("simulate", mode="sde", n_paths=4, dt=1.0, t_end=0.5),
+            "t_end must be at least dt",
+        ),
+        ("examples", _small("examples", mean_dt=2.0, t_end=1.0), "t_end must be at least dt"),
     ],
 )
 def test_library_domain_error_is_refused_before_any_output(tmp_path, command, block, message, capsys):

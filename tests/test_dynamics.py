@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from flexfunc import bilinear, dynamics, equilibria, model, rng
 from flexfunc.dynamics import Ensemble, Schedule
 from flexfunc.model import FlexParams, reference_params
+from strategies import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -111,24 +112,9 @@ def test_ode_default_grid(p):
     assert np.array_equal(traj.demands, [model.demand(p, x, 0.2, 0.4) for x in traj.states])
 
 
-@st.composite
-def _admissible_params(draw):
-    shape = np.array([draw(st.floats(0.01, 1.0)) for _ in range(3)])
-    weights = np.array([draw(st.floats(0.01, 1.0)) for _ in range(7)])
-    params = FlexParams(
-        C=draw(st.floats(0.5, 5.0)),
-        lam=draw(st.floats(0.05, 1.0)),
-        k=draw(st.floats(0.5, 20.0)),
-        alpha=(draw(st.floats(-0.5, 0.5)), *(shape / shape.sum())),
-        beta=tuple(-2.0 * weights / weights.sum()),
-    )
-    assume(model.validate(params, grid_n=101).ok)
-    return params
-
-
 @settings(max_examples=100)
 @given(
-    _admissible_params(),
+    admissible_params(),
     st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=20),
     st.floats(-1.0, 1.0),
     st.floats(0.0, 1.0),
@@ -136,7 +122,7 @@ def _admissible_params(draw):
 def test_drift_scalar_matches_array_kernel(params, xs, g, B):
     # the same IEEE operations in the same order, except that math.tanh and
     # np.tanh may round differently in the last bit
-    kernel = dynamics._deviation(params, np.array(xs), g, B) / params.C
+    kernel = model.deviation(params, np.array(xs), g, B) / params.C
     for x, want in zip(xs, kernel):
         got = dynamics._drift_scalar(params, x, g, B)
         assert abs(got - want) <= 2e-15 * abs(want), (x, got, want)
@@ -144,11 +130,12 @@ def test_drift_scalar_matches_array_kernel(params, xs, g, B):
 
 @st.composite
 def _schedule_on_grid(draw, dt, n_steps):
-    """1-4 segments; inner breakpoints are grid times or arbitrary times."""
+    """1-4 segments; inner breakpoints are grid times, half-steps or arbitrary times."""
     inner = draw(
         st.lists(
             st.one_of(
                 st.integers(1, n_steps).map(lambda i: i * dt),
+                st.integers(0, n_steps - 1).map(lambda i: (i + 0.5) * dt),
                 st.floats(0.0, n_steps * dt, exclude_min=True),
             ),
             max_size=3,
@@ -160,7 +147,7 @@ def _schedule_on_grid(draw, dt, n_steps):
 
 
 @settings(max_examples=40)
-@given(st.data(), _admissible_params(), st.floats(0.0, 1.0), st.sampled_from([0.01, 0.05, 0.3]))
+@given(st.data(), admissible_params(), st.floats(0.0, 1.0), st.sampled_from([0.01, 0.05, 0.3]))
 def test_ode_demand_column_matches_scalar_demand(data, params, x0, dt):
     n_steps = data.draw(st.integers(1, 200))
     sched = data.draw(_schedule_on_grid(dt, n_steps))
@@ -170,6 +157,36 @@ def test_ode_demand_column_matches_scalar_demand(data, params, x0, dt):
         for x, t in zip(traj.states, traj.times)
     ]
     assert np.array_equal(traj.demands, want)
+
+
+def _reference_rk4(params, x0, sched, dt, times):
+    """The RK4 loop with each stage's (g, B) looked up by ``Schedule.value_at``."""
+
+    def rate(t, x):
+        u, B = sched.value_at(t)
+        return dynamics._drift_scalar(params, x, model.price_response(params, u), B)
+
+    x = x0
+    states = [x]
+    for t in times[:-1]:
+        k1 = rate(t, x)
+        k2 = rate(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = rate(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = rate(t + dt, x + dt * k3)
+        x = min(1.0, max(0.0, x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0))
+        states.append(x)
+    return states
+
+
+@settings(max_examples=40)
+@given(st.data(), admissible_params(), st.floats(0.0, 1.0), st.sampled_from([0.01, 0.05, 0.3]))
+def test_rk4_stage_inputs_match_schedule_lookup(data, params, x0, dt):
+    # a breakpoint between a step's start and its midpoint or end must reach
+    # exactly the stages that sample past it
+    n_steps = data.draw(st.integers(1, 200))
+    sched = data.draw(_schedule_on_grid(dt, n_steps))
+    traj = dynamics.integrate_ode(params, x0, sched, dt=dt, t_end=n_steps * dt)
+    assert np.array_equal(traj.states, _reference_rk4(params, x0, sched, dt, traj.times))
 
 
 def test_ode_prices_each_segment_once(p, monkeypatch):

@@ -7,6 +7,7 @@ from flexfunc import generator, model
 from flexfunc.equilibria import solve_equilibrium
 from flexfunc.generator import GeneratorMatrix, StateGrid, build_generator
 from flexfunc.model import reference_params
+from strategies import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +254,18 @@ def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, n_s
         assert np.max(np.abs(row * h - p)) < 1e-12
         assert abs(row.sum() * h - 1.0) < 1e-12
         assert row.min() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), **_draws)
+def test_generator_invariants_over_admissible_params(params, u, B, sigma_x, n_cells):
+    g = build_generator(params.with_sigma(sigma_x), u, B, n_cells=n_cells)
+    dense = g.dense()
+    rates = g.up + g.down
+    assert np.all(g.up >= 0.0) and np.all(g.down >= 0.0)
+    assert np.all(np.abs(dense.sum(axis=1)) <= 1e-14 * rates)
+    p = generator.stationary_pdf(g) * g.grid.width  # probabilities
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) < 1e-12
+    # fixed point: p G = 0 up to rounding of the flux through each cell
+    assert np.max(np.abs(p @ dense)) <= 1e-9 * np.max(p * rates)

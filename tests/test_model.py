@@ -44,7 +44,7 @@ def test_demand_stays_admissible(p):
     D = model.demand(p, x, u, B)
     assert np.all(D >= -1e-12) and np.all(D <= 1.0 + 1e-12)
     # deviation branches: nonnegative delta uses upward slack, negative uses B
-    delta = model.demand_change(p, x, u)
+    delta = model.logistic_response(p, model.charge_response(p, x) + model.price_response(p, u))
     dev = model.demand_deviation(p, delta, B)
     up = delta >= 0
     assert np.allclose(dev[up], delta[up] * p.lam * (1 - B[up]))
