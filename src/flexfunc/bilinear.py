@@ -146,7 +146,7 @@ def strong_convergence_study(
 
     dw_fine = math.sqrt(dt_fine) * rng.normals(master_seed, range(n_paths), n_fine)
     w_end = dw_fine.sum(axis=1)
-    x_exact_end = bp.x0 * np.exp(bp.as_growth * t_end + bp.r2 * w_end)
+    x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
     errors = np.empty(dts.size)
     for j, (dt, ratio) in enumerate(zip(dts, ratios)):
@@ -169,10 +169,8 @@ def as_growth_estimate(
 ) -> float:
     """Monte Carlo estimate of the almost-sure growth rate log|x(T)| / T."""
     w_end = math.sqrt(t_end) * rng.normals(master_seed, range(n_paths), 1)[:, 0]
-    rates = [
-        math.log(abs(bp.x0 * math.exp(bp.as_growth * t_end + bp.r2 * w))) / t_end for w in w_end
-    ]
-    return float(np.mean(rates))
+    x_end = exact_path(bp, np.full(n_paths, t_end), w_end)
+    return float(np.mean(np.log(np.abs(x_end)) / t_end))
 
 
 def demo_paths(

@@ -451,7 +451,7 @@ def cmd_certify(cfg: dict, out: str) -> int:
     radius = certs[2].threshold  # 0 when eta1 = 0
     sigma_max = None
     if min_drift_gain(params, B_star) > 0.0:
-        sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta)
+        sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta, grid_n=grid_n)
     radius_ok = radius >= target_radius - 1e-12
     overall = all(c.passed for c in certs) and radius_ok
 

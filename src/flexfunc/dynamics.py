@@ -13,7 +13,6 @@ Defaults scale with the capacity: dt = 0.01 C and t_end = 20 C.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +55,6 @@ class Schedule:
     @classmethod
     def constant(cls, u: float, B: float) -> "Schedule":
         return cls(breakpoints=(0.0,), u_values=(u,), B_values=(B,))
-
-    def value_at(self, t: float) -> tuple[float, float]:
-        if t < 0.0:
-            raise ValueError(f"schedule queried at negative time {t}")
-        j = bisect_right(self.breakpoints, t) - 1
-        return self.u_values[j], self.B_values[j]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Demand equilibria of the flexibility function and their certification.
 
 For a constant price ``u*`` the deterministic equilibria are the states
-with f(x*) = -g(u*); since f is strictly decreasing the root is unique and
-bisection always brackets it (f(0) + g = 1 + g >= 0 >= -1 + g = f(1) + g
-for g in [-1, 1]).  With multiplicative noise x(1-x) sigma_x the only
-states where drift and diffusion vanish together are the corners
-(x, u) = (1, 0) and (0, 1).
+with f(x*) = -g(u*); since f is strictly decreasing the root is unique,
+and halving the interval [0, 1] always keeps it bracketed, because
+f(0) + g = 1 + g >= 0 >= -1 + g = f(1) + g for g in [-1, 1].  With
+multiplicative noise x(1-x) sigma_x the only states where drift and
+diffusion vanish together are the corners (x, u) = (1, 0) and (0, 1).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class EquilibriumPoint:
 
 
 def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
-    """Unique equilibrium state for price ``u_star`` by bisection.
+    """Unique equilibrium state for price ``u_star`` by interval halving.
 
     Stops when the balance residual |f(x) + g(u*)| drops below 1e-12 or the
     bracketing interval is shorter than 1e-14.

@@ -171,12 +171,10 @@ class DistributionSeries:
     grid: StateGrid
     pdfs: np.ndarray  # (n_times, n_cells)
 
-    def cdfs(self) -> np.ndarray:
-        return np.cumsum(self.pdfs * self.grid.width, axis=1)
-
     def cumulative(self) -> DistributionSeries:
         """The same times with rows holding cumulative probabilities."""
-        return DistributionSeries(times=self.times, grid=self.grid, pdfs=self.cdfs())
+        cdfs = np.cumsum(self.pdfs * self.grid.width, axis=1)
+        return DistributionSeries(times=self.times, grid=self.grid, pdfs=cdfs)
 
     def to_csv(self, path, value_label: str = "pdf") -> None:
         n_times, n_cells = self.pdfs.shape
@@ -311,10 +309,10 @@ def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
     ``slowest`` (default) returns the least-negative nonzero eigenvalue,
     ``fastest`` the most negative one.  The chain is reversible, so the
     generator is symmetrized by the stationary measure into a tridiagonal
-    matrix with off-diagonal sqrt(up_i * down_{i+1}); LAPACK bisection
-    (``stebz`` via ``eigh_tridiagonal``) computes only the wanted eigenvalue,
-    index n-2 in ascending order (n-1 is the zero mode) or index 0.  A
-    bisection that fails to converge raises ``LinAlgError``.
+    matrix with off-diagonal sqrt(up_i * down_{i+1}); LAPACK interval
+    halving (``stebz`` via ``eigh_tridiagonal``) computes only the wanted
+    eigenvalue, index n-2 in ascending order (n-1 is the zero mode) or
+    index 0.  A search that fails to converge raises ``LinAlgError``.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg import eigh_tridiagonal

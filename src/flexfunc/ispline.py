@@ -85,27 +85,6 @@ class ISplineBasis:
         )
         object.__setattr__(self, "basis_count", len(interior) + self.order)
 
-    def _check_args(self, i: int, u: float) -> None:
-        if not 1 <= i <= self.basis_count:
-            raise ValueError(
-                f"basis index {i} outside 1..{self.basis_count}"
-            )
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"argument {u} outside [0, 1]")
-
-    def mspline_eval(self, i: int, u: float) -> float:
-        """Density value of the ``i``-th (1-based) M-spline at ``u``."""
-        self._check_args(i, u)
-        k, t = self.order, self.knots
-        width = t[i + k - 1] - t[i - 1]
-        bspline = _deboor(t, k, np.eye(self.basis_count)[i - 1], u)[0]
-        return float(k / width * bspline) if width else 0.0
-
-    def ispline_eval(self, i: int, u: float) -> float:
-        """Integrated value of the ``i``-th (1-based) basis function at ``u``."""
-        self._check_args(i, u)
-        return float(self.rows(u)[0, i - 1])
-
     def rows(self, u) -> np.ndarray:
         """All I-spline values at each point of ``u``: shape ``(len(u), basis_count)``.
 

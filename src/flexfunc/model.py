@@ -237,15 +237,14 @@ def validate(params: FlexParams, grid_n: int = 1001) -> ValidationReport:
         rep.violations.append(
             f"g0 + sum(beta) must be -1 (so g(1) = -1), got {p.g0 + sum(p.beta)!r}"
         )
-    # grid-based monotonicity; skipped if structural sizes are already wrong
+    # grid-based monotonicity of f; skipped if structural sizes are already wrong.
+    # g needs no grid: with every beta finite and <= 0 its spline coefficients
+    # g0 + [0, cumsum(beta)] are nonincreasing, and so is the spline.
     if not rep.violations:
         grid = np.linspace(0.0, 1.0, grid_n)
         fv = charge_response(p, grid)
         if np.any(np.diff(fv) >= 0.0):
             rep.violations.append("f must be strictly decreasing on [0, 1]")
-        gv = price_response(p, grid)
-        if np.any(np.diff(gv) > 1e-12):
-            rep.violations.append("g is not nonincreasing on [0, 1]")
         if abs(fv[0] - 1.0) > 1e-9 or abs(fv[-1] + 1.0) > 1e-9:
             rep.violations.append("f must satisfy f(0) = 1 and f(1) = -1")
     return rep

@@ -144,8 +144,8 @@ def max_stable_noise(
     The radius formula alone caps sigma_x at sqrt(2 eta1 theta / target);
     if the certificate also passes there, that bound is returned exactly
     (target_radius = 1 gives sqrt(2 eta1 theta)).  Otherwise the pointwise
-    LV check binds and the boundary is bisected.  A formula bound beyond
-    ``cap`` is reported as the cap with a warning.
+    LV check binds and the boundary is found by interval halving.  A formula
+    bound beyond ``cap`` is reported as the cap with a warning.
     """
     check_grid_n(grid_n)
     if not 0.0 < target_radius <= 1.0:

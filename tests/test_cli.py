@@ -518,6 +518,22 @@ def test_certify_reference_passes(tmp_path, capsys):
     assert doc["sigma_max"] == pytest.approx(0.36698792170878686, rel=1e-12)
 
 
+def test_certify_grid_n_reaches_the_noise_search(tmp_path, monkeypatch):
+    import flexfunc.cli as cli
+
+    seen = []
+    search = cli.max_stable_noise
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("grid_n"))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "max_stable_noise", spy)
+    body = {"params": REF_PARAMS, "certify": {"u_star": 0.0, "B_star": 0.4, "grid_n": 150}}
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 0
+    assert seen == [150]
+
+
 def test_certify_high_noise_fails_on_radius(tmp_path, capsys):
     body = {
         "params": dict(REF_PARAMS, sigma_x=2.0),

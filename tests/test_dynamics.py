@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -66,14 +67,12 @@ def test_non_finite_time_and_rate_arguments_are_rejected(build, argument):
         build()
 
 
-def test_schedule_lookup():
+def test_schedule_lookup(p):
     s = Schedule(breakpoints=(0.0, 2.0, 5.0), u_values=(0.1, 0.2, 0.3), B_values=(0.4, 0.5, 0.6))
-    assert s.value_at(0.0) == (0.1, 0.4)
-    assert s.value_at(1.999) == (0.1, 0.4)
-    assert s.value_at(2.0) == (0.2, 0.5)
-    assert s.value_at(100.0) == (0.3, 0.6)
-    with pytest.raises(ValueError):
-        s.value_at(-0.1)
+    g_seg, B_seg, (seg,) = dynamics._segments(p, s, np.array([0.0, 1.999, 2.0, 100.0]))
+    assert seg.tolist() == [0, 0, 1, 2]
+    assert B_seg.tolist() == [0.4, 0.5, 0.6]
+    assert g_seg.tolist() == [model.price_response(p, u) for u in s.u_values]
 
 
 def test_ode_matches_scipy_reference(p):
@@ -128,6 +127,12 @@ def test_drift_scalar_matches_array_kernel(params, xs, g, B):
         assert abs(got - want) <= 2e-15 * abs(want), (x, got, want)
 
 
+def _value_at(sched, t):
+    """(u, B) in force at time ``t``; the oracle for ``dynamics._segments``."""
+    j = bisect_right(sched.breakpoints, t) - 1
+    return sched.u_values[j], sched.B_values[j]
+
+
 @st.composite
 def _schedule_on_grid(draw, dt, n_steps):
     """1-4 segments; inner breakpoints are grid times, half-steps or arbitrary times."""
@@ -153,17 +158,17 @@ def test_ode_demand_column_matches_scalar_demand(data, params, x0, dt):
     sched = data.draw(_schedule_on_grid(dt, n_steps))
     traj = dynamics.integrate_ode(params, x0, sched, dt=dt, t_end=n_steps * dt)
     want = [
-        model.demand(params, x, *sched.value_at(float(t)))
+        model.demand(params, x, *_value_at(sched, float(t)))
         for x, t in zip(traj.states, traj.times)
     ]
     assert np.array_equal(traj.demands, want)
 
 
 def _reference_rk4(params, x0, sched, dt, times):
-    """The RK4 loop with each stage's (g, B) looked up by ``Schedule.value_at``."""
+    """The RK4 loop with each stage's (g, B) looked up by ``_value_at``."""
 
     def rate(t, x):
-        u, B = sched.value_at(t)
+        u, B = _value_at(sched, t)
         return dynamics._drift_scalar(params, x, model.price_response(params, u), B)
 
     x = x0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flexfunc import model
+from flexfunc import equilibria, model
 from flexfunc.model import FlexParams, reference_params
+from strategies import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,23 @@ def test_drift_bounded_and_diffusion_vanishes(p):
     assert model.diffusion(p, 0.0) == 0.0
     assert model.diffusion(p, 1.0) == 0.0
     assert model.diffusion(p, 0.5) == pytest.approx(0.25 * p.sigma_x)
+
+
+@settings(max_examples=200)
+@given(
+    admissible_params(),
+    st.floats(0.0, 1.0),
+    # a subnormal B underflows the slack-scaled drift to -0.0
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+)
+def test_drift_sign_law_over_admissible_params(params, u, B):
+    # the drift points toward the unique equilibrium x*(u) and is at most lambda / C
+    x_star = equilibria.solve_equilibrium(params, u).x_star
+    xs = np.linspace(0.0, 1.0, 1001)
+    rate = model.drift(params, xs, u, B)
+    assert np.all(rate[xs < x_star - 1e-6] > 0.0)
+    assert np.all(rate[xs > x_star + 1e-6] < 0.0)
+    assert np.all(np.abs(rate) <= params.lam / params.C)
 
 
 def test_scalar_array_polymorphism(p):
