@@ -144,13 +144,14 @@ def strong_convergence_study(
             raise ValueError(f"dt {dt} is not a whole multiple of the finest dt {dt_fine}")
         ratios.append(r)
 
-    dw_fine = math.sqrt(dt_fine) * rng.normals(master_seed, range(n_paths), n_fine)
+    dw_fine = rng.normals(master_seed, range(n_paths), n_fine)
+    dw_fine *= math.sqrt(dt_fine)
     w_end = dw_fine.sum(axis=1)
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
     errors = np.empty(dts.size)
     for j, (dt, ratio) in enumerate(zip(dts, ratios)):
-        dw = dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
+        dw = dw_fine if ratio == 1 else dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
         x = np.full(n_paths, float(bp.x0))
         for i in range(dw.shape[1]):
             x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]

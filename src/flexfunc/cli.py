@@ -382,13 +382,14 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         return EXIT_OK
 
     ens = simulate_sde(
-        params, x0_list[0], schedule, block["n_paths"], master_seed=cfg["seed"], dt=dt, t_end=t_end
+        params, x0_list[0], schedule, block["n_paths"], master_seed=cfg["seed"], dt=dt,
+        t_end=t_end, keep=block["sample_paths"],
     )
     out = _out_dir(out)
     ens.to_csv(out / f"{stem}_summary.csv")
-    for i in range(block["sample_paths"]):
-        Trajectory(ens.times, ens.states[i]).to_csv(out / f"{stem}_path{i + 1:02d}.csv")
-    print(f"wrote ensemble summary and {block['sample_paths']} sample path(s) to {out}")
+    for i, path in enumerate(ens.states, start=1):
+        Trajectory(ens.times, path).to_csv(out / f"{stem}_path{i:02d}.csv")
+    print(f"wrote ensemble summary and {len(ens.states)} sample path(s) to {out}")
     return EXIT_OK
 
 

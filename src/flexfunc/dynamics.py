@@ -21,7 +21,7 @@ from . import rng
 from ._csvio import write_csv
 from .model import FlexParams, deviation, diffusion, price_response
 
-_BLOCK = 1024  # paths per noise buffer; bounds its memory
+_CHUNK = 128  # time steps per state block; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -74,27 +74,32 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A set of paths on a shared grid with reproducible per-path streams."""
+    """Per-time statistics of a set of paths, plus the paths it was asked to keep.
+
+    ``states`` holds the first ``keep`` paths (n_keep, n_times) and
+    ``terminal`` the final state of every path; the moments cover all paths.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_paths, n_times)
+    states: np.ndarray  # (n_keep, n_times)
+    terminal: np.ndarray  # (n_paths,)
+    mean: np.ndarray
+    var: np.ndarray
+    q05: np.ndarray
+    q50: np.ndarray
+    q95: np.ndarray
     master_seed: int
     pre_clamp_min: float
     pre_clamp_max: float
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[:, -1]
-
     def summary(self) -> dict[str, np.ndarray]:
-        q05, q50, q95 = np.quantile(self.states, [0.05, 0.50, 0.95], axis=0)
         return {
             "t": self.times,
-            "mean": self.states.mean(axis=0),
-            "var": self.states.var(axis=0),
-            "q05": q05,
-            "q50": q50,
-            "q95": q95,
+            "mean": self.mean,
+            "var": self.var,
+            "q05": self.q05,
+            "q50": self.q50,
+            "q95": self.q95,
         }
 
     def to_csv(self, path) -> None:
@@ -189,6 +194,19 @@ def integrate_ode(
     return Trajectory(times=times, states=states, demands=demands)
 
 
+def _step_blocks(n_steps: int):
+    """Step ranges [s0, s1) of ``_CHUNK`` steps; the last may be shorter, never 1 step.
+
+    The first block also carries the t = 0 column and a 1-step tail joins the
+    block before it: numpy sums a single column pairwise but several columns
+    row by row, and the row-by-row bits are those of the whole state matrix.
+    """
+    bounds = list(range(0, n_steps, _CHUNK)) + [n_steps]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
+
+
 def simulate_sde(
     params: FlexParams,
     x0: float,
@@ -197,43 +215,68 @@ def simulate_sde(
     master_seed: int,
     dt: float | None = None,
     t_end: float | None = None,
+    keep: int | None = None,
 ) -> Ensemble:
     """Euler-Maruyama ensemble with per-path Philox streams.
 
     Path ``p`` draws all its increments from the stream keyed by
-    (master_seed, p).  Paths advance together in blocks of at most
-    ``_BLOCK``, which bounds the noise buffer; the drift is
+    (master_seed, p).  All paths advance together, one block of at most
+    ``_CHUNK`` steps at a time: the block's noise is drawn into an
+    (n_paths, steps) state block, the steps overwrite it with states, and
+    the block's columns of the mean, variance and 5/50/95% quantiles and of
+    the first ``keep`` paths (all of them when None) are written out.
+    Memory is O(n_paths * _CHUNK + keep * n_times).  The drift is
     ``model.deviation``, the kernel that also computes the ODE demand column.
     """
     x0 = _check_x0(x0)
     rng.check_seed(master_seed)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    keep = n_paths if keep is None else keep
+    if not 0 <= keep <= n_paths:
+        raise ValueError(f"keep must be between 0 and n_paths, got {keep}")
     dt, times = _grid(params, dt, t_end)
-    n_steps = len(times) - 1
     g_seg, B_seg, (seg,) = _segments(params, schedule, times[:-1])
     g_step, B_step = g_seg[seg], B_seg[seg]
     sqdt = math.sqrt(dt)
 
-    states = np.empty((n_paths, len(times)))
+    streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
+    states = np.empty((keep, len(times)))
+    mean, var, q05, q50, q95 = np.empty((5, len(times)))
+    x = np.full(n_paths, x0)
     lo, hi = x0, x0
-    for p0 in range(0, n_paths, _BLOCK):
-        p1 = min(p0 + _BLOCK, n_paths)
-        z = rng.normals(master_seed, range(p0, p1), n_steps)
-        x = np.full(p1 - p0, x0)
-        states[p0:p1, 0] = x
-        for i in range(n_steps):
+    for s0, s1 in _step_blocks(len(times) - 1):
+        # State columns s0 + 1 .. s1, and t = 0 in the first block.  Each
+        # column holds its step's noise until the step overwrites it.
+        first = int(s0 == 0)
+        block = np.empty((n_paths, first + s1 - s0))
+        block[:, :first] = x0
+        rng.fill_normals(streams, block[:, first:])
+        for j, i in enumerate(range(s0, s1), start=first):
             dd = deviation(params, x, g_step[i], B_step[i])
-            x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * z[:, i]
+            x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * block[:, j]
             lo = min(lo, float(x.min()))
             hi = max(hi, float(x.max()))
             np.clip(x, 0.0, 1.0, out=x)
-            states[p0:p1, i + 1] = x
+            block[:, j] = x
         if not np.all(np.isfinite(x)):
             raise RuntimeError("non-finite state in ensemble")
+        cols = slice(s0 + 1 - first, s1 + 1)
+        states[:, cols] = block[:keep]
+        mean[cols] = block.mean(axis=0)
+        var[cols] = block.var(axis=0)
+        # the block is not read again, so the quantiles may reorder it in place
+        q = np.quantile(block, [0.05, 0.50, 0.95], axis=0, overwrite_input=True)
+        q05[cols], q50[cols], q95[cols] = q
     return Ensemble(
         times=times,
         states=states,
+        terminal=x,
+        mean=mean,
+        var=var,
+        q05=q05,
+        q50=q50,
+        q95=q95,
         master_seed=int(master_seed),
         pre_clamp_min=lo,
         pre_clamp_max=hi,

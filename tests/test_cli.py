@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexfunc._csvio import write_csv
 from flexfunc.cli import ConfigError, _number, main
 
 REF_PARAMS = {
@@ -157,6 +158,39 @@ def test_simulate_sde_outputs(tmp_path):
         header, _ = read_rows(tmp_path / f"ens_path{i:02d}.csv")
         assert header == "t,x"
     assert not (tmp_path / "ens_path04.csv").exists()
+
+
+def test_simulate_sde_files_are_full_state_statistics(tmp_path):
+    from flexfunc.dynamics import Schedule, Trajectory, simulate_sde
+    from flexfunc.model import FlexParams
+
+    body = {
+        "params": REF_PARAMS,
+        "seed": 21,
+        "simulate": {
+            "mode": "sde",
+            "x0": 0.3,
+            "schedule": {"u": 0.5, "B": 0.4},
+            "dt": 0.01,
+            "t_end": 3.0,
+            "n_paths": 200,
+            "sample_paths": 2,
+            "output": "ens.csv",
+        },
+    }
+    assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path / "cli")]) == 0
+    full = simulate_sde(
+        FlexParams.from_dict(REF_PARAMS), 0.3, Schedule.constant(0.5, 0.4), 200, 21, dt=0.01, t_end=3.0
+    )
+    x = full.states
+    q05, q50, q95 = np.quantile(x, [0.05, 0.50, 0.95], axis=0)
+    write_csv(tmp_path / "oracle.csv", "t,mean,var,q05,q50,q95",
+              (full.times, x.mean(axis=0), x.var(axis=0), q05, q50, q95))
+    assert (tmp_path / "cli" / "ens_summary.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    for i in (1, 2):
+        Trajectory(full.times, x[i - 1]).to_csv(tmp_path / "path.csv")
+        assert (tmp_path / "cli" / f"ens_path{i:02d}.csv").read_bytes() == (tmp_path / "path.csv").read_bytes()
+    assert not (tmp_path / "cli" / "ens_path03.csv").exists()
 
 
 @pytest.mark.parametrize("n_paths", [0, 2.5, "8"])
@@ -594,8 +628,7 @@ def test_flag_validation(tmp_path, flags, capsys):
 
 
 def test_sde_byte_determinism_subprocess(tmp_path):
-    # same seed must give byte-identical files across reruns and thread counts;
-    # 1500 paths straddle the internal scheduling block size
+    # same seed must give byte-identical files across reruns and thread counts
     body = {
         "params": REF_PARAMS,
         "seed": 77,

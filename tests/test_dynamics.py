@@ -295,6 +295,52 @@ def test_path_normals_contract():
         rng.check_seed(-1)
 
 
+@pytest.mark.parametrize("seed, path", [(7, 5), (0, 0), (2**64 - 1, 2**64 - 1)])
+def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
+    from scipy.special import ndtri
+
+    whole = rng.path_normals(seed, path, 2000)
+    stream = rng.path_stream(seed, path)
+    parts = [rng.fill_normals([stream], np.empty((1, n)))[0] for n in (64, 64, 1000, 872)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
+    # the uniforms are those Generator.integers(0, 2**53) draws from the same key
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+    ints = gen.integers(0, 1 << 53, size=2000, dtype=np.uint64)
+    assert ndtri((ints.astype(np.float64) + 0.5) * 2.0**-53).tobytes() == whole.tobytes()
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=50)
+@given(
+    params=admissible_params(),
+    sigma=st.floats(0.0, 1.0),
+    x0=_unit,
+    levels=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=3),
+    n_paths=st.integers(1, 6),
+    keep=st.integers(0, 6),
+)
+def test_state_space_invariance_property(params, sigma, x0, levels, n_paths, keep):
+    # ROADMAP item 6: RK4 and the streamed Euler-Maruyama ensemble never leave [0, 1]
+    p = params.with_sigma(sigma)
+    u, B = zip(*levels)
+    sched = Schedule(breakpoints=tuple(0.4 * p.C * j for j in range(len(levels))), u_values=u, B_values=B)
+    dt = 0.01 * p.C
+    t_end = (dynamics._CHUNK + 2) * dt  # two time blocks
+    traj = dynamics.integrate_ode(p, x0, sched, dt=dt, t_end=t_end)
+    ens = dynamics.simulate_sde(p, x0, sched, n_paths, 3, dt=dt, t_end=t_end, keep=min(keep, n_paths))
+
+    def inside(a):
+        return bool(np.all((a >= 0.0) & (a <= 1.0)))
+
+    assert inside(traj.states)
+    assert inside(ens.states) and inside(ens.terminal) and ens.terminal.shape == (n_paths,)
+    s = ens.summary()
+    assert ens.pre_clamp_min <= s["q05"].min() and s["q95"].max() <= ens.pre_clamp_max
+
+
 def test_ensemble_and_trajectory_csv(tmp_path, p):
     ens = dynamics.simulate_sde(
         p, 0.5, Schedule.constant(0.2, 0.4), n_paths=128, master_seed=2, t_end=5.0
