@@ -109,6 +109,36 @@ class ConvergenceStudy:
 
 
 _DEFAULT_DTS = tuple(2.0**-l for l in range(6, 13))
+_PW_BLOCKSIZE = 128  # numpy's pairwise summation adds runs of at most this many items in a loop
+
+
+def _pairwise_leaves(n: int, start: int = 0) -> list[tuple[int, int, int]]:
+    """The leaves of numpy's pairwise summation of an ``n``-long row, in order.
+
+    numpy splits a run of more than ``_PW_BLOCKSIZE`` items after
+    n // 2 - (n // 2) % 8 items and adds the two halves' sums; shorter runs
+    are the leaves.  Each leaf is (a, b, adds): its items [a, b) and how many
+    of those additions its sum completes (see ``_pairwise_push``).
+    """
+    if n <= _PW_BLOCKSIZE:
+        return [(start, start + n, 0)]
+    n2 = n // 2 - (n // 2) % 8
+    leaves = _pairwise_leaves(n2, start) + _pairwise_leaves(n - n2, start + n2)
+    a, b, adds = leaves[-1]
+    leaves[-1] = (a, b, adds + 1)
+    return leaves
+
+
+def _pairwise_push(stack: list, leaf_sum, adds: int) -> None:
+    """Push the next leaf's sum and complete ``adds`` pairwise additions.
+
+    Pushing every leaf of ``_pairwise_leaves(n)`` in order leaves one entry:
+    the row sum with the bits of numpy's ``sum`` over the whole row.
+    """
+    stack.append(leaf_sum)
+    for _ in range(adds):
+        right = stack.pop()
+        stack[-1] = stack[-1] + right
 
 
 def strong_convergence_study(
@@ -125,6 +155,17 @@ def strong_convergence_study(
     in groups for the coarser grids, so the exact terminal value is common
     and the error decay is a pure discretization effect.  Every dt must be
     an integer multiple of the finest dt dividing t_end in whole steps.
+
+    All paths advance together, one time block of fine increments at a
+    time; every step size takes its steps from the block into its own state
+    vector.  A block is a run of leaves of numpy's pairwise summation of an
+    n_fine-long row (``_pairwise_leaves``) that ends on a multiple of every
+    ratio dt / dt_fine, so each coarse increment sums the same fine ones as
+    over the whole row, and w(t_end) is the leaf sums added in numpy's
+    order, with the bits of a whole-row ``sum``.  Memory is
+    O(n_paths * block): one leaf of at most 128 steps per block at the
+    default step sizes, and all n_fine steps in one block when no earlier
+    leaf ends on a multiple of every ratio.
     """
     dts = np.asarray(sorted(set(float(d) for d in dts), reverse=True))
     if dts.size < 2:
@@ -144,18 +185,31 @@ def strong_convergence_study(
             raise ValueError(f"dt {dt} is not a whole multiple of the finest dt {dt_fine}")
         ratios.append(r)
 
-    dw_fine = rng.normals(master_seed, range(n_paths), n_fine)
-    dw_fine *= math.sqrt(dt_fine)
-    w_end = dw_fine.sum(axis=1)
+    every_ratio = math.lcm(*ratios)
+    streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
+    xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
+    partial = []  # open pairwise partial sums of each path's fine increments
+    s0, leaves = 0, []
+    for leaf in _pairwise_leaves(n_fine):
+        leaves.append(leaf)
+        s1 = leaf[1]
+        if s1 % every_ratio:
+            continue
+        dw_fine = rng.fill_normals(streams, np.empty((n_paths, s1 - s0)))
+        dw_fine *= math.sqrt(dt_fine)
+        for a, b, adds in leaves:
+            _pairwise_push(partial, dw_fine[:, a - s0 : b - s0].sum(axis=1), adds)
+        for j, (dt, ratio) in enumerate(zip(dts, ratios)):
+            dw = dw_fine if ratio == 1 else dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
+            x = xs[j]
+            for i in range(dw.shape[1]):
+                x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
+            xs[j] = x
+        s0, leaves = s1, []
+    (w_end,) = partial
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
-    errors = np.empty(dts.size)
-    for j, (dt, ratio) in enumerate(zip(dts, ratios)):
-        dw = dw_fine if ratio == 1 else dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
-        x = np.full(n_paths, float(bp.x0))
-        for i in range(dw.shape[1]):
-            x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
-        errors[j] = np.mean(np.abs(x - x_exact_end))
+    errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])
     if not errors.any():
         raise ValueError("every strong error is 0, so there is no slope to fit")
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+_CONVERT_ROWS = 64  # rows per uint64 -> float pass of fill_normals; bounds its copy
 
 
 def check_seed(seed: int) -> int:
@@ -32,14 +33,20 @@ def fill_normals(streams, out: np.ndarray) -> np.ndarray:
 
     Each uniform is (k + 0.5) 2^-53 for the top 53 bits k of one raw 64-bit
     draw, the value ``Generator.integers(0, 2**53)`` gives, at a quarter of
-    its per-call cost.  Only one row of integers is alive besides ``out``.
+    its per-call cost.  The raw draws are written into ``out`` itself, read
+    as uint64, shifted in one pass and turned into floats ``_CONVERT_ROWS``
+    rows at a time (numpy copies an overlapping input first), so no
+    temporary of the block's size is made.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.special import ndtri
 
-    for row, stream in zip(out, streams):
-        row[:] = stream.random_raw(row.size) >> np.uint64(11)
-    out += 0.5
+    bits = out.view(np.uint64)
+    for row, stream in zip(bits, streams):
+        row[:] = stream.random_raw(row.size)
+    bits >>= np.uint64(11)
+    for r in range(0, len(out), _CONVERT_ROWS):
+        np.add(bits[r : r + _CONVERT_ROWS], 0.5, out=out[r : r + _CONVERT_ROWS])
     out *= 2.0**-53
     return ndtri(out, out=out)
 

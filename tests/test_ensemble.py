@@ -86,3 +86,19 @@ def test_streamed_ensemble_memory_does_not_grow_with_the_horizon():
     assert ens.states.shape == (8, n_times) and ens.terminal.shape == (n_paths,)
     full_matrix = n_paths * n_times * 8  # 32.8 MB
     assert peak < full_matrix / 4, peak
+
+
+def test_fill_normals_makes_no_block_sized_temporary():
+    streams = [rng.path_stream(13, p) for p in range(4096)]
+    out = np.empty((4096, CHUNK))
+    rng.path_normals(13, 0, 1)  # load scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        rng.fill_normals(streams, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes / 8, peak
+    # rows on both sides of a conversion-chunk edge are their streams' own draws
+    for r in (0, rng._CONVERT_ROWS - 1, rng._CONVERT_ROWS, 4095):
+        assert out[r].tobytes() == rng.path_normals(13, r, CHUNK).tobytes()
