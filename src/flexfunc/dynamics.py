@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from ._csvio import write_csv
-from .model import FlexParams, deviation, diffusion, price_response
+from .model import FlexParams, check_unit, deviation, diffusion, price_response
 
 _CHUNK = 128  # time steps per state block; bounds its memory
 
@@ -34,8 +34,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         bp = tuple(float(t) for t in self.breakpoints)
-        uv = tuple(float(v) for v in self.u_values)
-        bv = tuple(float(v) for v in self.B_values)
+        uv = tuple(check_unit("u value", v) for v in self.u_values)
+        bv = tuple(check_unit("B value", v) for v in self.B_values)
         if not bp:
             raise ValueError("schedule must have at least one segment")
         if len(bp) != len(uv) or len(bp) != len(bv):
@@ -44,10 +44,6 @@ class Schedule:
             raise ValueError(f"first breakpoint must be 0.0, got {bp[0]}")
         if not math.isfinite(bp[-1]) or any(not b > a for a, b in zip(bp, bp[1:])):
             raise ValueError(f"breakpoints must be finite and strictly increasing, got {bp}")
-        for name, vals in (("u", uv), ("B", bv)):
-            for v in vals:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} value {v} outside [0, 1]")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "u_values", uv)
         object.__setattr__(self, "B_values", bv)
@@ -126,13 +122,6 @@ def _grid(params: FlexParams, dt: float | None, t_end: float | None):
     return dt, time_grid(dt, t_end)
 
 
-def _check_x0(x0: float) -> float:
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 {x0} outside [0, 1]")
-    return x0
-
-
 def _segments(params: FlexParams, schedule: Schedule, *times: np.ndarray):
     """Per-segment g(u) and B tables, and the segment of every entry of each ``times``.
 
@@ -171,7 +160,7 @@ def integrate_ode(
     point.  The segments of every step's start, midpoint and end are looked
     up before the loop.
     """
-    x = _check_x0(x0)
+    x = check_unit("x0", x0)
     dt, times = _grid(params, dt, t_end)
     t0 = times[:-1]
     g_seg, B_seg, (seg, seg_h, seg_1) = _segments(params, schedule, times, t0 + 0.5 * dt, t0 + dt)
@@ -228,8 +217,7 @@ def simulate_sde(
     Memory is O(n_paths * _CHUNK + keep * n_times).  The drift is
     ``model.deviation``, the kernel that also computes the ODE demand column.
     """
-    x0 = _check_x0(x0)
-    rng.check_seed(master_seed)
+    x0 = check_unit("x0", x0)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     keep = n_paths if keep is None else keep

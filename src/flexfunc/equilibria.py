@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import StabilityCertificate, check_grid_n, grid_certificate
-from .model import FlexParams, charge_response, diffusion, drift, price_response
+from .model import FlexParams, charge_response, check_unit, diffusion, drift, price_response
 
 #: the corner stochastic equilibria, u* -> x*: full charge at zero price,
 #: empty charge at the price cap
@@ -38,8 +38,7 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
     Stops when the balance residual |f(x) + g(u*)| drops below 1e-12 or the
     bracketing interval is shorter than 1e-14.
     """
-    if not 0.0 <= u_star <= 1.0:
-        raise ValueError(f"u_star {u_star} outside [0, 1]")
+    u_star = check_unit("u_star", u_star)
     g = price_response(params, u_star)
 
     def h(x: float) -> float:
@@ -49,7 +48,7 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
     h_lo, h_hi = h(lo), h(hi)
     for x0, h0 in ((lo, h_lo), (hi, h_hi)):
         if abs(h0) < 1e-12:
-            return EquilibriumPoint(x_star=x0, u_star=float(u_star), residual=abs(h0))
+            return EquilibriumPoint(x_star=x0, u_star=u_star, residual=abs(h0))
     if h_lo < 0.0 or h_hi > 0.0:
         raise ValueError(
             "equilibrium not bracketed on [0, 1]; f or g violates its range invariants"
@@ -64,7 +63,7 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
             lo = mid
         else:
             hi = mid
-    return EquilibriumPoint(x_star=mid, u_star=float(u_star), residual=abs(h_mid))
+    return EquilibriumPoint(x_star=mid, u_star=u_star, residual=abs(h_mid))
 
 
 def stochastic_equilibria(params: FlexParams) -> list[EquilibriumPoint]:
@@ -115,8 +114,7 @@ def certify_deterministic(
     (e.g. u* = 0 with B* = 1) passes vacuously and is flagged degenerate.
     """
     check_grid_n(grid_n)
-    if not 0.0 <= B_star <= 1.0:
-        raise ValueError(f"B_star {B_star} outside [0, 1]")
+    B_star = check_unit("B_star", B_star)
     x_star = solve_equilibrium(params, u_star).x_star
     side = {0.0: np.less, 1.0: np.greater}.get(B_star)
 

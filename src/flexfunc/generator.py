@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from .model import FlexParams, diffusion, drift
+from .model import FlexParams, check_unit, diffusion, drift
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ class StateGrid:
         return (np.arange(self.n_cells) + 0.5) * self.width
 
     def cell_of(self, x: float) -> int:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"x {x} outside [0, 1]")
-        return min(self.n_cells - 1, int(x * self.n_cells))
+        return min(self.n_cells - 1, int(check_unit("x", x) * self.n_cells))
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -64,9 +62,8 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     out[small] = 1.0 - 0.5 * z[small]
     big = z > 700.0
     out[big] = 0.0
-    neg_big = z < -700.0
-    out[neg_big] = -z[neg_big]
-    rest = ~(small | big | neg_big)
+    # below z ~ -37.4 expm1(z) is exactly -1.0, so this is -z there, bit for bit
+    rest = ~(small | big)
     out[rest] = z[rest] / np.expm1(z[rest])
     return out
 
@@ -132,9 +129,7 @@ def build_generator(
     """Rate matrix for constant price u and baseline B."""
     if n_cells < 16:
         raise ValueError(f"grid too coarse: n_cells must be >= 16, got {n_cells}")
-    for name, val in (("u", u), ("B", B)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} {val} outside [0, 1]")
+    u, B = check_unit("u", u), check_unit("B", B)
     grid = StateGrid(n_cells)
     h = grid.width
     x_if = grid.edges[1:-1]
@@ -143,11 +138,10 @@ def build_generator(
     up_if = np.empty_like(v)
     dn_if = np.empty_like(v)
     diffusive = d > 0.0
-    w = np.zeros_like(v)
-    w[diffusive] = v[diffusive] * h / d[diffusive]
+    w = v[diffusive] * h / d[diffusive]
     scale = d[diffusive] / h**2
-    up_if[diffusive] = scale * _bernoulli(-w[diffusive])
-    dn_if[diffusive] = scale * _bernoulli(w[diffusive])
+    up_if[diffusive] = scale * _bernoulli(-w)
+    dn_if[diffusive] = scale * _bernoulli(w)
     adv = ~diffusive
     up_if[adv] = np.maximum(v[adv], 0.0) / h
     dn_if[adv] = np.maximum(-v[adv], 0.0) / h
@@ -195,10 +189,11 @@ def evolve_pdf(
     matrix is an M-matrix, so every step conserves mass exactly (columns of
     G^T sum to zero) and preserves nonnegativity for any step size; the
     stationary density is its exact fixed point.  LAPACK ``gttrf`` factors
-    the matrix once for ``dt`` and once per interval that needs a shorter
-    step; every step is one ``gttrs`` solve.  The matrix is strictly column
-    diagonally dominant, so partial pivoting never swaps rows and the factors
-    keep the M-matrix sign pattern.  A zero pivot raises ``ArithmeticError``.
+    the matrix once per interval, for ``dt`` or for the shorter step the
+    interval needs; every step is one ``gttrs`` solve.  The matrix is
+    strictly column diagonally dominant, so partial pivoting never swaps rows
+    and the factors keep the M-matrix sign pattern.  A zero pivot raises
+    ``ArithmeticError``.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -232,8 +227,6 @@ def evolve_pdf(
             raise ArithmeticError(f"zero pivot {info} in the implicit step matrix")
         return lu
 
-    lu_dt = factor(dt)
-
     p = pdf0 * h  # probabilities
     t_now = 0.0
     out = np.empty((len(times), gen.n_cells))
@@ -242,7 +235,7 @@ def evolve_pdf(
         if span > 0.0:
             n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
             step = span / n_sub
-            lu = lu_dt if abs(step - dt) <= 1e-12 * max(1.0, dt) else factor(step)
+            lu = factor(dt if abs(step - dt) <= 1e-12 * max(1.0, dt) else step)
             for _ in range(n_sub):
                 p, _ = dgttrs(*lu, p, overwrite_b=1)
             t_now = t

@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificates import StabilityCertificate, check_grid_n, failed_degenerate, grid_certificate
 from .equilibria import CORNERS
-from .model import FlexParams, charge_response, drift, logistic_response, price_response
+from .model import FlexParams, charge_response, check_unit, drift, logistic_response, price_response
 
 
 def _corner(u_star: float) -> float:
@@ -37,25 +37,27 @@ def _corner(u_star: float) -> float:
     return CORNERS[u_star]
 
 
-def _check_b(B_star: float) -> float:
-    if not 0.0 <= B_star <= 1.0:
-        raise ValueError(f"B_star {B_star} outside [0, 1]")
-    return float(B_star)
+def _corner_claim(params: FlexParams, u_star: float, B_star: float, grid_n: int):
+    """(x*, B*, eta1) of a corner certificate: the one check of its grid_n, u* and B*."""
+    check_grid_n(grid_n)
+    return _corner(u_star), float(B_star), min_drift_gain(params, B_star)
+
+
+def _lv(params: FlexParams, xs: np.ndarray, x_star: float, u_star: float, b: float):
+    drift_part = drift(params, xs, u_star, b) * (xs - x_star)
+    return drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
 
 
 def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
     """LV(x) for V = (x - x*)^2 / 2 at the corner equilibrium of u*."""
-    x_star = _corner(u_star)
-    _check_b(B_star)
-    xs = np.asarray(x, dtype=float)
-    drift_part = drift(params, xs, u_star, B_star) * (xs - x_star)
-    val = drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
+    val = _lv(params, np.asarray(x, dtype=float), _corner(u_star), u_star,
+              check_unit("B_star", B_star))
     return float(val) if np.ndim(x) == 0 else val
 
 
 def min_drift_gain(params: FlexParams, B_star: float) -> float:
     """Worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*)."""
-    b = _check_b(B_star)
+    b = check_unit("B_star", B_star)
     return params.lam / params.C * min(b, 1.0 - b)
 
 
@@ -72,10 +74,7 @@ def certify_bounded(
     or 1 gives eta1 = 0 and an empty condition region; that degenerate
     certificate is flagged and does not pass.
     """
-    check_grid_n(grid_n)
-    x_star = _corner(u_star)
-    b = _check_b(B_star)
-    eta1 = min_drift_gain(params, b)
+    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if eta1 == 0.0:
         return failed_degenerate("stoch-bounded", params.params_hash(), x_star, np.inf)
     threshold = params.sigma_x**2 / (32.0 * eta1)
@@ -87,18 +86,19 @@ def certify_bounded(
 
     return grid_certificate(
         "stoch-bounded", params.params_hash(), x_star, grid_n,
-        lambda xs: lyapunov_rate(params, xs, u_star, b), keep=damped, threshold=threshold,
+        lambda xs: _lv(params, xs, x_star, u_star, b), keep=damped, threshold=threshold,
     )
+
+
+def _radius(params: FlexParams, eta1: float, theta: float) -> float:
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0, 1), got {theta}")
+    return 1.0 if params.sigma_x == 0.0 else min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
 
 
 def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
     """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x = 0."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
-    eta1 = min_drift_gain(params, B_star)
-    if params.sigma_x == 0.0:
-        return 1.0
-    return min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
+    return _radius(params, min_drift_gain(params, B_star), theta)
 
 
 def certify_stable(
@@ -115,15 +115,17 @@ def certify_stable(
     passes vacuously and is flagged degenerate (theta -> 0 limit).  B* at 0
     or 1 gives eta1 = 0: degenerate and failed.
     """
-    check_grid_n(grid_n)
-    x_star = _corner(u_star)
-    b = _check_b(B_star)
-    if min_drift_gain(params, b) == 0.0:
+    return _certify_stable(params, u_star, *_corner_claim(params, u_star, B_star, grid_n),
+                           theta, grid_n)
+
+
+def _certify_stable(params, u_star, x_star, b, eta1, theta, grid_n) -> StabilityCertificate:
+    r = _radius(params, eta1, theta)
+    if eta1 == 0.0:
         return failed_degenerate("stoch-stable", params.params_hash(), x_star, 0.0)
-    r = stable_radius(params, b, theta)
     return grid_certificate(
         "stoch-stable", params.params_hash(), x_star, grid_n,
-        lambda xs: lyapunov_rate(params, xs, u_star, b),
+        lambda xs: _lv(params, xs, x_star, u_star, b),
         keep=lambda xs: np.abs(xs - x_star) <= r,
         threshold=r,
         region=(max(0.0, x_star - r), min(1.0, x_star + r)),
@@ -147,19 +149,17 @@ def max_stable_noise(
     LV check binds and the boundary is found by interval halving.  A formula
     bound beyond ``cap`` is reported as the cap with a warning.
     """
-    check_grid_n(grid_n)
+    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:
         raise ValueError(f"target_radius must be in (0, 1], got {target_radius}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    _corner(u_star)
-    eta1 = min_drift_gain(params, _check_b(B_star))
     if eta1 == 0.0:
         raise ValueError("eta1 = 0 at B_star in {0, 1}: no certifiable noise level")
 
     def passes(sigma: float) -> bool:
         p = params.with_sigma(sigma)
-        cert = certify_stable(p, u_star, B_star, theta=theta, grid_n=grid_n)
+        cert = _certify_stable(p, u_star, x_star, b, eta1, theta, grid_n)
         return cert.passed and cert.threshold >= target_radius - 1e-12
 
     sigma_formula = float(np.sqrt(2.0 * eta1 * theta / target_radius))
