@@ -103,11 +103,21 @@ def _finite(value, name: str) -> float:
     return number
 
 
-def _unit(value, name: str) -> float:
-    number = _finite(value, name)
-    if not 0.0 <= number <= 1.0:
-        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
-    return number
+def _interval(text: str, inside):
+    """Parser for a finite number that ``inside`` accepts; ``text`` names the interval."""
+
+    def parse(value, name: str) -> float:
+        number = _finite(value, name)
+        if not inside(number):
+            raise ConfigError(f"{name} must be in {text}, got {value!r}")
+        return number
+
+    return parse
+
+
+_unit = _interval("[0, 1]", lambda v: 0.0 <= v <= 1.0)
+_theta = _interval("(0, 1)", lambda v: 0.0 < v < 1.0)
+_target_radius = _interval("(0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 def _corner(value, name: str) -> float:
@@ -291,8 +301,8 @@ _SWEEP = _object({
 _CERTIFY = _object({
     "u_star": (_corner, _REQUIRED),
     "B_star": (_unit, _REQUIRED),
-    "theta": (_finite, 0.5),
-    "target_radius": (_finite, 1.0),
+    "theta": (_theta, 0.5),
+    "target_radius": (_target_radius, 1.0),
     "grid_n": (_grid_n, 2001),
     "output": (_text, "certificates.json"),
 })

@@ -737,6 +737,45 @@ def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key
 
 
 @pytest.mark.parametrize(
+    "key,value", [("theta", 0), ("theta", 1), ("theta", 2), ("target_radius", 0), ("target_radius", 5)]
+)
+@pytest.mark.parametrize("B_star", [0.0, 0.4, 1.0])
+def test_certify_theta_and_target_radius_refused_at_every_baseline(tmp_path, B_star, key, value, capsys):
+    # at B* in {0, 1} the noise search, which also checks both keys, never runs
+    block = _small("certify", B_star=B_star, **{key: value})
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "certify": block})
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    assert f'"{key}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({}, 'sde mode needs "n_paths"'),
+        ({"n_paths": 4, "x0": [0.2, 0.8]}, "sde mode takes a single x0"),
+        ({"n_paths": 4, "sample_paths": 5}, "sample_paths must be between 0 and n_paths"),
+    ],
+)
+def test_sde_block_rules_refused_before_any_output(tmp_path, changes, message, capsys):
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "simulate": _small("simulate", mode="sde", **changes)})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numerical_failure_exits_3_before_any_output(tmp_path, capsys):
+    # a valid but absurd capacity: the first RK4 step overflows the state
+    body = {"params": dict(REF_PARAMS, C=5e-324), "simulate": _small("simulate", dt=0.01, t_end=1.0)}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    assert "numerical failure: non-finite state at t=0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,block,message",
     [
         ("examples", _small("examples", convergence={"dts": [0.3, 0.7]}), "finest dt"),

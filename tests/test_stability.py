@@ -147,6 +147,26 @@ def test_sigma_max_cap_warning(p):
     assert smax == 100.0
 
 
+def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
+    # f'(1) = 0: at u* = 0, B* = 0.4 the formula bound 0.36699 fails its LV
+    # check by 2.5e-5, so the interval halving runs (to ~0.034833).  Sound
+    # certificates (ROADMAP item 2) will move this value.
+    q = FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0))
+    probes = []
+    certify = stability._certify_stable
+
+    def spy(params, *args):
+        probes.append(params.sigma_x)
+        return certify(params, *args)
+
+    monkeypatch.setattr(stability, "_certify_stable", spy)
+    smax = stability.max_stable_noise(q, 0.0, 0.4)
+    monkeypatch.undo()
+    assert len(probes) > 1
+    assert stability.certify_stable(q.with_sigma(smax), 0.0, 0.4).passed
+    assert not stability.certify_stable(q.with_sigma(smax + 2e-9), 0.0, 0.4).passed
+
+
 def test_sigma_max_degenerate_error(p):
     with pytest.raises(ValueError, match="eta1"):
         stability.max_stable_noise(p, 1.0, 0.0)
