@@ -1,10 +1,13 @@
 """Finite-volume generator of the state diffusion and distribution tools.
 
-The SDE dX = a(x) dt + b(x) dW on [0, 1] is discretized into a
-continuous-time birth-death chain on uniform cells using exponential
-fitting (Chang-Cooper / Scharfetter-Gummel weights): with interface drift
-``v``, interface diffusion ``D = b^2 / 2`` and Peclet number ``w = v h / D``
-the jump rates are
+The Ito SDE dX = a(x) dt + b(x) dW on [0, 1], the one ``dynamics``
+simulates by Euler-Maruyama, has the Fokker-Planck flux
+J = (a - D') p - D p' with D = b^2 / 2, and so the stationary density
+exp(int a / D) / D.  It is discretized into a continuous-time birth-death
+chain on uniform cells using exponential fitting (Chang-Cooper /
+Scharfetter-Gummel weights): with interface drift ``v = a - D'``,
+interface diffusion ``D`` and Peclet number ``w = v h / D`` the jump rates
+are
 
     up   = (D / h^2) * B(-w),     down = (D / h^2) * B(w),
 
@@ -133,7 +136,8 @@ def build_generator(
     grid = StateGrid(n_cells)
     h = grid.width
     x_if = grid.edges[1:-1]
-    v = np.asarray(drift(params, x_if, u, B))
+    d_prime = params.sigma_x**2 * x_if * (1.0 - x_if) * (1.0 - 2.0 * x_if)  # the Ito term D'
+    v = np.asarray(drift(params, x_if, u, B)) - d_prime
     d = 0.5 * np.asarray(diffusion(params, x_if)) ** 2
     up_if = np.empty_like(v)
     dn_if = np.empty_like(v)

@@ -20,6 +20,26 @@ def gen(p):
     return build_generator(p, 0.2, 0.4, n_cells=200)
 
 
+def speed_measure(params, u, B, n_fine=320_000):
+    """Midpoints of ``n_fine`` equal cells and their probabilities under exp(int a / D) / D.
+
+    The stationary density of the Ito SDE, with D = b^2 / 2, computed without
+    the generator: int a / D by the midpoint rule between cell midpoints,
+    kept in log space until the final normalization.
+    """
+    h = 1.0 / n_fine
+    edges = np.arange(1, n_fine) * h
+    mids = (np.arange(n_fine) + 0.5) * h
+
+    def log_d(x):
+        return np.log(0.5 * model.diffusion(params, x) ** 2)
+
+    phi = np.cumsum(h * model.drift(params, edges, u, B) / np.exp(log_d(edges)))
+    log_q = np.concatenate(([0.0], phi)) - log_d(mids)
+    q = np.exp(log_q - log_q.max())
+    return mids, q / q.sum()
+
+
 def test_state_grid():
     g = StateGrid(10)
     assert g.width == pytest.approx(0.1)
@@ -110,9 +130,11 @@ def test_stationary_moments_match_direct(gen):
     assert var == pytest.approx(float(np.sum(w * (xs - mean) ** 2)), abs=1e-13)
 
 
-def test_stationary_anchor(gen):
+def test_stationary_anchor(p, gen):
+    # the anchor is the mean of the Ito speed-measure density, 0.865903
+    mids, w = speed_measure(p, 0.2, 0.4)
     mean, var = generator.stationary_moments(gen)
-    assert mean == pytest.approx(0.8653, abs=2e-4)
+    assert mean == pytest.approx(np.dot(mids, w), abs=1e-4)
     assert 0.0 < var < 1e-3
 
 
@@ -269,3 +291,30 @@ def test_generator_invariants_over_admissible_params(params, u, B, sigma_x, n_ce
     assert abs(p.sum() - 1.0) < 1e-12
     # fixed point: p G = 0 up to rounding of the flux through each cell
     assert np.max(np.abs(p @ dense)) <= 1e-9 * np.max(p * rates)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    params=admissible_params(),
+    u=st.floats(0.1, 0.9),
+    B=st.floats(0.1, 0.9),
+    sigma_x=st.floats(0.05, 0.5),
+)
+def test_stationary_converges_to_ito_speed_measure(params, u, B, sigma_x):
+    # Second order towards exp(int a / D) / D.  The drift's slope jumps at the
+    # equilibrium, where the slack switches from lambda (1 - B) to lambda B, so
+    # the error's constant depends on where that kink falls in its cell: one
+    # doubling of n cuts the error by 1.5x to 7x at B = 0.9, and by exactly 4x
+    # at B = 0.5.  Three doublings must cut it by at least 16x.
+    p = params.with_sigma(sigma_x)
+    _, w = speed_measure(p, u, B)
+    cells = {n: w.reshape(n, -1).sum(axis=1) for n in (200, 1600)}
+    # A rate is an asymptotic claim: no cell of n = 200 may hold a fifth of the
+    # mass.  That leaves out peaks narrower than two cells and the piles a weak
+    # boundary drift leaves against x = 0 or 1.
+    assume(cells[200].max() <= 0.2)
+    err = []
+    for n, expected in cells.items():
+        g = build_generator(p, u, B, n_cells=n)
+        err.append(np.abs(generator.stationary_pdf(g) * g.grid.width - expected).sum())
+    assert err[0] >= 16.0 * err[1]
