@@ -12,12 +12,7 @@ solutions used to validate the integrators.
 from .bilinear import BilinearParams
 from .certificates import StabilityCertificate
 from .dynamics import Ensemble, Schedule, Trajectory, integrate_ode, simulate_sde
-from .equilibria import (
-    EquilibriumPoint,
-    certify_deterministic,
-    solve_equilibrium,
-    stochastic_equilibria,
-)
+from .equilibria import EquilibriumPoint, certify_deterministic, solve_equilibrium
 from .generator import (
     DistributionSeries,
     GeneratorMatrix,
@@ -60,7 +55,6 @@ __all__ = [
     "spectral_gap",
     "stationary_moments",
     "stationary_pdf",
-    "stochastic_equilibria",
     "validate",
     "__version__",
 ]

@@ -1,8 +1,7 @@
-"""Bilinear scalar toy system in three guises, used to validate the solvers.
+"""Bilinear scalar toy system in two guises, used to validate the solvers.
 
 The same right-hand side r1 x + r2 x (disturbance) is treated as
 
-* a deterministic system driven by a known signal w(t),
 * the mean equation dE/dt = (r1 + r2 omega) E for a disturbance with
   constant expectation omega,
 * an Ito SDE dx = r1 x dt + r2 x dw with exact solution
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,35 +45,24 @@ class BilinearParams:
         return self.r1 - 0.5 * self.r2**2
 
 
-def disturbed_ode(
-    bp: BilinearParams,
-    w: Callable[[float], float],
-    dt: float,
-    t_end: float,
-) -> Trajectory:
-    """Fourth-order integration of dx/dt = r1 x + r2 x w(t)."""
+def mean_ode(bp: BilinearParams, omega: float, dt: float, t_end: float) -> Trajectory:
+    """RK4 path of the mean evolution dE/dt = (r1 + r2 omega) E; closed form is exponential."""
     times = time_grid(dt, t_end)
     xs = np.empty(len(times))
     x = float(bp.x0)
     xs[0] = x
 
-    def rhs(t: float, y: float) -> float:
-        return bp.r1 * y + bp.r2 * y * w(t)
+    def rhs(y: float) -> float:
+        return bp.r1 * y + bp.r2 * y * omega
 
     for i in range(len(times) - 1):
-        t = times[i]
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
         x += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         xs[i + 1] = x
     return Trajectory(times=times, states=xs)
-
-
-def mean_ode(bp: BilinearParams, omega: float, dt: float, t_end: float) -> Trajectory:
-    """Mean evolution dE/dt = (r1 + r2 omega) E; closed form is exponential."""
-    return disturbed_ode(bp, lambda t: omega, dt, t_end)
 
 
 def exact_path(bp: BilinearParams, times: np.ndarray, w_path: np.ndarray) -> np.ndarray:

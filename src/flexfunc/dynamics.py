@@ -84,7 +84,6 @@ class Ensemble:
     q05: np.ndarray
     q50: np.ndarray
     q95: np.ndarray
-    master_seed: int
     pre_clamp_min: float
     pre_clamp_max: float
 
@@ -265,7 +264,6 @@ def simulate_sde(
         q05=q05,
         q50=q50,
         q95=q95,
-        master_seed=int(master_seed),
         pre_clamp_min=lo,
         pre_clamp_max=hi,
     )

@@ -10,13 +10,12 @@ diffusion vanish together are the corners (x, u) = (1, 0) and (0, 1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import StabilityCertificate, check_grid_n, grid_certificate
-from .model import FlexParams, charge_response, check_unit, diffusion, drift, price_response
+from .model import FlexParams, charge_response, check_unit, drift, price_response
 
 #: the corner stochastic equilibria, u* -> x*: full charge at zero price,
 #: empty charge at the price cap
@@ -28,7 +27,6 @@ class EquilibriumPoint:
     """Equilibrium state for a fixed price: f(x_star) = -g(u_star)."""
 
     x_star: float
-    u_star: float
     residual: float
 
 
@@ -48,7 +46,7 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
     h_lo, h_hi = h(lo), h(hi)
     for x0, h0 in ((lo, h_lo), (hi, h_hi)):
         if abs(h0) < 1e-12:
-            return EquilibriumPoint(x_star=x0, u_star=u_star, residual=abs(h0))
+            return EquilibriumPoint(x_star=x0, residual=abs(h0))
     if h_lo < 0.0 or h_hi > 0.0:
         raise ValueError(
             "equilibrium not bracketed on [0, 1]; f or g violates its range invariants"
@@ -63,39 +61,7 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
             lo = mid
         else:
             hi = mid
-    return EquilibriumPoint(x_star=mid, u_star=u_star, residual=abs(h_mid))
-
-
-def stochastic_equilibria(params: FlexParams) -> list[EquilibriumPoint]:
-    """The two corner states where drift and diffusion both vanish.
-
-    Verifies drift(x*, u*) = 0 and diffusion(x*) = 0 at (1, 0) and (0, 1);
-    any violation (a parameter set breaking the f/g normalization) raises.
-    With sigma_x = 0 the deterministic equilibria form a continuum and the
-    corners are only a subset; a warning flags that case.
-    """
-    pts = []
-    problems = []
-    for u_star, x_star in CORNERS.items():
-        dr = drift(params, x_star, u_star, 0.5)
-        df = diffusion(params, x_star)
-        if abs(dr) > 1e-12 or abs(df) > 1e-12:
-            problems.append(
-                f"(x*={x_star}, u*={u_star}): drift={dr!r}, diffusion={df!r}"
-            )
-        residual = abs(charge_response(params, x_star) + price_response(params, u_star))
-        pts.append(EquilibriumPoint(x_star=x_star, u_star=u_star, residual=residual))
-    if problems:
-        raise ValueError(
-            "boundary states are not stochastic equilibria: " + "; ".join(problems)
-        )
-    if params.sigma_x == 0.0:
-        warnings.warn(
-            "sigma_x = 0: every deterministic equilibrium is also a stochastic one; "
-            "returning only the two corner states",
-            stacklevel=2,
-        )
-    return pts
+    return EquilibriumPoint(x_star=mid, residual=abs(h_mid))
 
 
 def certify_deterministic(

@@ -203,7 +203,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(params: FlexParams, grid_n: int = 1001) -> ValidationReport:
+def validate(params: FlexParams) -> ValidationReport:
     """Check every structural invariant of a parameter set.
 
     Returns a report rather than raising so callers can present all
@@ -249,8 +249,7 @@ def validate(params: FlexParams, grid_n: int = 1001) -> ValidationReport:
     # g needs no grid: with every beta finite and <= 0 its spline coefficients
     # g0 + [0, cumsum(beta)] are nonincreasing, and so is the spline.
     if not rep.violations:
-        grid = np.linspace(0.0, 1.0, grid_n)
-        fv = charge_response(p, grid)
+        fv = charge_response(p, np.linspace(0.0, 1.0, 1001))
         if np.any(np.diff(fv) >= 0.0):
             rep.violations.append("f must be strictly decreasing on [0, 1]")
     return rep

@@ -28,6 +28,9 @@ from .certificates import StabilityCertificate, check_grid_n, failed_degenerate,
 from .equilibria import CORNERS
 from .model import FlexParams, charge_response, check_unit, drift, logistic_response, price_response
 
+#: largest sigma_x that max_stable_noise reports
+SIGMA_CAP = 1e6
+
 
 def _corner(u_star: float) -> float:
     if u_star not in CORNERS:
@@ -90,15 +93,12 @@ def certify_bounded(
     )
 
 
-def _radius(params: FlexParams, eta1: float, theta: float) -> float:
+def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
+    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x = 0."""
+    eta1 = min_drift_gain(params, B_star)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     return 1.0 if params.sigma_x == 0.0 else min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
-
-
-def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
-    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x = 0."""
-    return _radius(params, min_drift_gain(params, B_star), theta)
 
 
 def certify_stable(
@@ -115,12 +115,8 @@ def certify_stable(
     passes vacuously and is flagged degenerate (theta -> 0 limit).  B* at 0
     or 1 gives eta1 = 0: degenerate and failed.
     """
-    return _certify_stable(params, u_star, *_corner_claim(params, u_star, B_star, grid_n),
-                           theta, grid_n)
-
-
-def _certify_stable(params, u_star, x_star, b, eta1, theta, grid_n) -> StabilityCertificate:
-    r = _radius(params, eta1, theta)
+    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
+    r = stable_radius(params, b, theta)
     if eta1 == 0.0:
         return failed_degenerate("stoch-stable", params.params_hash(), x_star, 0.0)
     return grid_certificate(
@@ -138,7 +134,6 @@ def max_stable_noise(
     B_star: float,
     target_radius: float = 1.0,
     theta: float = 0.5,
-    cap: float = 1e6,
     grid_n: int = 2001,
 ) -> float:
     """Largest sigma_x whose stability certificate covers ``target_radius``.
@@ -147,9 +142,9 @@ def max_stable_noise(
     if the certificate also passes there, that bound is returned exactly
     (target_radius = 1 gives sqrt(2 eta1 theta)).  Otherwise the pointwise
     LV check binds and the boundary is found by interval halving.  A formula
-    bound beyond ``cap`` is reported as the cap with a warning.
+    bound beyond ``SIGMA_CAP`` is reported as the cap with a warning.
     """
-    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
+    _, _, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:
         raise ValueError(f"target_radius must be in (0, 1], got {target_radius}")
     if not 0.0 < theta < 1.0:
@@ -158,19 +153,18 @@ def max_stable_noise(
         raise ValueError("eta1 = 0 at B_star in {0, 1}: no certifiable noise level")
 
     def passes(sigma: float) -> bool:
-        p = params.with_sigma(sigma)
-        cert = _certify_stable(p, u_star, x_star, b, eta1, theta, grid_n)
+        cert = certify_stable(params.with_sigma(sigma), u_star, B_star, theta, grid_n)
         return cert.passed and cert.threshold >= target_radius - 1e-12
 
     sigma_formula = float(np.sqrt(2.0 * eta1 * theta / target_radius))
-    if sigma_formula >= cap:
-        if passes(cap):
+    if sigma_formula >= SIGMA_CAP:
+        if passes(SIGMA_CAP):
             warnings.warn(
-                f"sigma_max exceeds the search cap {cap}; returning the cap",
+                f"sigma_max exceeds the search cap {SIGMA_CAP}; returning the cap",
                 stacklevel=2,
             )
-            return cap
-        sigma_formula = cap
+            return SIGMA_CAP
+        sigma_formula = SIGMA_CAP
     if passes(sigma_formula):
         return sigma_formula
     lo, hi = 0.0, sigma_formula

@@ -20,5 +20,5 @@ def admissible_params(draw):
         alpha=(draw(st.floats(-0.5, 0.5)), *(shape / shape.sum())),
         beta=tuple(-2.0 * weights / weights.sum()),
     )
-    assume(model.validate(params, grid_n=101).ok)
+    assume(model.validate(params).ok)
     return params

@@ -20,17 +20,17 @@ def test_x0_finite():
         BilinearParams(1.0, 1.0, float("nan"))
 
 
-def test_disturbed_ode_constant_signal_stable():
-    # r1 + r2 * w < 0 shrinks the state
+def test_mean_ode_negative_rate_stable():
+    # r1 + r2 * omega < 0 shrinks the state
     bp = BilinearParams(1.0, -1.2, 1.0)
-    traj = bilinear.disturbed_ode(bp, lambda t: 2.0, dt=0.01, t_end=2.0)
+    traj = bilinear.mean_ode(bp, 2.0, dt=0.01, t_end=2.0)
     assert abs(traj.states[-1]) < abs(bp.x0)
 
 
-def test_disturbed_ode_trivial_cases():
-    still = bilinear.disturbed_ode(BilinearParams(0.0, 0.0, 3.0), lambda t: 1.0, 0.1, 1.0)
+def test_mean_ode_trivial_cases():
+    still = bilinear.mean_ode(BilinearParams(0.0, 0.0, 3.0), 1.0, 0.1, 1.0)
     assert np.all(still.states == 3.0)
-    exp = bilinear.disturbed_ode(BilinearParams(1.0, 5.0, 1.0), lambda t: 0.0, 0.001, 1.0)
+    exp = bilinear.mean_ode(BilinearParams(1.0, 5.0, 1.0), 0.0, 0.001, 1.0)
     assert exp.states[-1] == pytest.approx(math.e, abs=1e-10)
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexfunc import equilibria, model
-from flexfunc.model import FlexParams, reference_params
+from flexfunc.model import reference_params
+from strategies import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -45,22 +48,14 @@ def test_u_star_range(p):
         equilibria.solve_equilibrium(p, 1.2)
 
 
-def test_stochastic_equilibria_are_corners(p):
-    pts = equilibria.stochastic_equilibria(p)
-    assert {(pt.x_star, pt.u_star) for pt in pts} == {(1.0, 0.0), (0.0, 1.0)}
-    assert all(pt.residual == 0.0 for pt in pts)
-
-
-def test_stochastic_equilibria_warn_sigma_zero(p):
-    with pytest.warns(UserWarning, match="sigma_x = 0"):
-        equilibria.stochastic_equilibria(p.with_sigma(0.0))
-
-
-def test_stochastic_equilibria_reject_broken_normalization():
-    # g(0) != 1 breaks the corner balance
-    bad = FlexParams(beta=tuple(-2.2 / 7 for _ in range(7)))
-    with pytest.raises(ValueError, match="not stochastic equilibria"):
-        equilibria.stochastic_equilibria(bad)
+@settings(max_examples=50, deadline=None)
+@given(params=admissible_params(), B=st.floats(0.0, 1.0), sigma=st.floats(0.0, 2.0))
+def test_corners_are_stochastic_equilibria(params, B, sigma):
+    # drift and diffusion vanish together at both corners, for every baseline and noise level
+    p = params.with_sigma(sigma)
+    for u_star, x_star in equilibria.CORNERS.items():
+        assert abs(model.drift(p, x_star, u_star, B)) <= 1e-12
+        assert model.diffusion(p, x_star) == 0.0
 
 
 def test_certificate_passes_reference(p):

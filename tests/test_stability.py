@@ -142,9 +142,10 @@ def test_sigma_max_certifies_below(p):
 def test_sigma_max_cap_warning(p):
     # tiny target: the formula bound explodes past the cap and the
     # certificate ball falls below grid resolution (vacuous pass)
+    # (the formula bound at target 1e-13 is 1.16e6)
     with pytest.warns(UserWarning, match="cap"):
-        smax = stability.max_stable_noise(p, 0.0, 0.4, target_radius=1e-9, cap=100.0)
-    assert smax == 100.0
+        smax = stability.max_stable_noise(p, 0.0, 0.4, target_radius=1e-13)
+    assert smax == stability.SIGMA_CAP
 
 
 def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
@@ -153,13 +154,13 @@ def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
     # certificates (ROADMAP item 2) will move this value.
     q = FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0))
     probes = []
-    certify = stability._certify_stable
+    certify = stability.certify_stable
 
     def spy(params, *args):
         probes.append(params.sigma_x)
         return certify(params, *args)
 
-    monkeypatch.setattr(stability, "_certify_stable", spy)
+    monkeypatch.setattr(stability, "certify_stable", spy)
     smax = stability.max_stable_noise(q, 0.0, 0.4)
     monkeypatch.undo()
     assert len(probes) > 1
