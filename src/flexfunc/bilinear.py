@@ -153,7 +153,8 @@ def strong_convergence_study(
     order, with the bits of a whole-row ``sum``.  Memory is
     O(n_paths * block): one leaf of at most 128 steps per block at the
     default step sizes, and all n_fine steps in one block when no earlier
-    leaf ends on a multiple of every ratio.
+    leaf ends on a multiple of every ratio.  A system that every step size
+    solves exactly has no error slope and raises ``ArithmeticError``.
     """
     dts = np.asarray(sorted(set(float(d) for d in dts), reverse=True))
     if dts.size < 2:
@@ -199,7 +200,7 @@ def strong_convergence_study(
 
     errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])
     if not errors.any():
-        raise ValueError("every strong error is 0, so there is no slope to fit")
+        raise ArithmeticError("every strong error is 0, so there is no slope to fit")
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceStudy(dts=dts, errors=errors, slope=slope)
 

@@ -309,7 +309,8 @@ def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
     matrix with off-diagonal sqrt(up_i * down_{i+1}); LAPACK interval
     halving (``stebz`` via ``eigh_tridiagonal``) computes only the wanted
     eigenvalue, index n-2 in ascending order (n-1 is the zero mode) or
-    index 0.  A search that fails to converge raises ``LinAlgError``.
+    index 0.  A search that fails to converge raises ``LinAlgError``, and a
+    disconnected chain, which has no gap, raises ``ArithmeticError``.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg import eigh_tridiagonal
@@ -317,7 +318,7 @@ def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
     if mode not in ("slowest", "fastest"):
         raise ValueError(f"mode must be 'slowest' or 'fastest', got {mode!r}")
     if not gen.connected():
-        raise ValueError("spectral gap undefined for a disconnected chain")
+        raise ArithmeticError("spectral gap undefined for a disconnected chain")
     k = gen.n_cells - 2 if mode == "slowest" else 0
     off = np.sqrt(gen.up[:-1] * gen.down[1:])
     lam = eigh_tridiagonal(gen.diag, off, eigvals_only=True, select="i", select_range=(k, k))

@@ -87,6 +87,8 @@ def test_convergence_validation():
         bilinear.strong_convergence_study(bp, dts=[0.5])
     with pytest.raises(ValueError, match="multiple"):
         bilinear.strong_convergence_study(bp, dts=[0.3, 0.001])
+    with pytest.raises(ValueError, match="positive"):
+        bilinear.strong_convergence_study(bp, dts=[0.5, -0.25])
     with pytest.raises(ValueError):
         bilinear.strong_convergence_study(bp, n_paths=0)
 
@@ -129,7 +131,7 @@ def test_csv_outputs(tmp_path):
 @pytest.mark.parametrize("bp", [BilinearParams(1.0, -1.2, 0.0), BilinearParams(0.0, 0.0, 1.0)])
 def test_convergence_study_refuses_all_zero_errors(bp):
     # x0 = 0, or no drift and no noise: every step size is exact, no slope exists
-    with pytest.raises(ValueError, match="every strong error is 0"):
+    with pytest.raises(ArithmeticError, match="every strong error is 0"):
         bilinear.strong_convergence_study(bp, dts=[0.25, 0.125], n_paths=4)
 
 

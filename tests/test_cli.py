@@ -68,6 +68,11 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2 column" in err
 
 
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    assert main(["validate", "--config", cfg_file(tmp_path, [])]) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "bogus": 1})
     assert main(["validate", "--config", cfg]) == 2
@@ -402,6 +407,25 @@ def test_non_finite_params_exit1(tmp_path, command, capsys):
     assert "g0 must be finite" in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "basis,beta,code,message",
+    [
+        ({"interior_knots": [0.25, 0.5, 0.75]}, [-0.25, -0.25, -0.25, -0.25, -0.5, -0.5], 0, ""),
+        ({"knots": [0, 0, 0.1, 0.2, 0.4, 0.6, 0.8, 1, 1, 1]}, None, 2, "knot vector must be clamped"),
+        ({"basis_count": 9}, None, 2, "inconsistent"),
+        ({"interior_knots": [0.5]}, None, 1, "beta must have 4 entries"),
+    ],
+    ids=["interior_knots", "unclamped_knots", "basis_count", "beta_length"],
+)
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_params_basis_block(tmp_path, command, basis, beta, code, message, capsys):
+    params = dict(REF_PARAMS, basis=basis, beta=beta or REF_PARAMS["beta"])
+    body = {"params": params, "certify": {"u_star": 0.0, "B_star": 0.4, "grid_n": 101}}
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 @pytest.mark.parametrize("value", [32.9, True, float("inf"), float("nan"), "32", None])
 def test_integer_config_value_is_never_truncated(value):
     with pytest.raises(ConfigError, match="must be a number with an integer value"):
@@ -659,16 +683,25 @@ def test_sde_byte_determinism_subprocess(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded():
+def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     # scipy.special and scipy.linalg load on first use: eager imports cost
-    # every command ~25 MB of peak memory and ~0.3 s of start-up
+    # every command ~25 MB of peak memory and ~0.3 s of start-up.  The
+    # commands that need neither (ode simulate, certify, validate) must
+    # finish in the same process with no scipy module loaded at all.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    runs = [
+        ["simulate", "--config", str(configs / "fig2.json"), "--out", str(tmp_path / "fig2")],
+        ["certify", "--config", str(configs / "certify.json"), "--out", str(tmp_path / "certify")],
+        ["validate", "--config", str(configs / "fig2.json")],
+    ]
     code = (
-        "import sys, flexfunc.cli; "
-        "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])"
+        "import json, sys, flexfunc.cli\n"
+        "codes = [flexfunc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 _NAN = float("nan")
@@ -726,6 +759,7 @@ def _small(command, **changes):
         ("certify", _small("certify", B_star=1.5), {}, "B_star"),
         ("simulate", _small("simulate", x0=[0.5, 1.5]), {}, "x0"),
         ("certify", _small("certify", grid_n=99), {}, "grid_n"),
+        ("certify", 5, {}, "certify"),
     ],
 )
 def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key, capsys):
@@ -775,11 +809,45 @@ def test_numerical_failure_exits_3_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+_NOISELESS = dict(REF_PARAMS, sigma_x=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:chain is disconnected")
+@pytest.mark.parametrize(
+    "command,params,block,message",
+    [
+        (
+            "sweep", _NOISELESS, _small("sweep", B_values=[0.0, 0.4], n_cells=50),
+            "spectral gap undefined for a disconnected chain",
+        ),
+        (
+            "density", _NOISELESS, _small("density", B=1.0, n_cells=50),
+            "spectral gap undefined for a disconnected chain",
+        ),
+        ("examples", REF_PARAMS, _small("examples", systems=[{"x0": 0.0}]), "every strong error is 0"),
+        (
+            "examples", REF_PARAMS, _small("examples", systems=[{"r1": 0, "r2": 0, "x0": 1}]),
+            "every strong error is 0",
+        ),
+    ],
+    ids=["sweep", "density", "examples-x0-zero", "examples-exact-system"],
+)
+def test_valid_config_without_an_answer_exits_3_before_any_output(
+    tmp_path, command, params, block, message, capsys
+):
+    # the config is well formed, but the quantity it asks for does not exist
+    cfg = cfg_file(tmp_path, {"params": params, command: block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,block,message",
     [
         ("examples", _small("examples", convergence={"dts": [0.3, 0.7]}), "finest dt"),
-        ("examples", _small("examples", systems=[{"x0": 0.0}]), "every strong error is 0"),
+        ("examples", _small("examples", convergence={"dts": [0.25, 0.25]}), "two distinct step sizes"),
         ("density", _small("density", times=[1.0, 0.5]), "nondecreasing"),
         ("simulate", _small("simulate", dt=1.0, t_end=0.5), "t_end must be at least dt"),
         (

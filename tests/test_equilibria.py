@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexfunc import equilibria, model
-from flexfunc.model import reference_params
+from flexfunc.model import FlexParams, reference_params
 from strategies import admissible_params
 
 
@@ -46,6 +46,12 @@ def test_u_star_range(p):
         equilibria.solve_equilibrium(p, -0.1)
     with pytest.raises(ValueError):
         equilibria.solve_equilibrium(p, 1.2)
+
+
+def test_unbracketed_equilibrium_refused():
+    # g0 = 3 puts g(0) outside [-1, 1], so f(x) = -g(0) has no root in [0, 1]
+    with pytest.raises(ValueError, match="not bracketed"):
+        equilibria.solve_equilibrium(FlexParams(g0=3.0), 0.0)
 
 
 @settings(max_examples=50, deadline=None)

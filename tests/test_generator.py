@@ -88,6 +88,8 @@ def test_generator_bands_validated():
         GeneratorMatrix(grid=grid, up=up, down=down)
     with pytest.raises(ValueError):
         GeneratorMatrix(grid=grid, up=np.array([1.0, -1.0, 1.0, 0.0]), down=down)
+    with pytest.raises(ValueError, match="one entry per cell"):
+        GeneratorMatrix(grid=grid, up=np.array([1.0, 1.0, 0.0]), down=down)
 
 
 def test_mass_conservation_and_positivity(gen):
@@ -214,7 +216,7 @@ def test_spectral_gap_negative_and_mode_validation(gen):
         up=np.array([1.0, 0.0, 0.0, 0.0]),
         down=np.array([0.0, 1.0, 0.0, 0.0]),
     )
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ArithmeticError, match="disconnected"):
         generator.spectral_gap(broken)
 
 

@@ -173,6 +173,12 @@ def test_sigma_max_degenerate_error(p):
         stability.max_stable_noise(p, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("kwargs,key", [({"target_radius": 0.0}, "target_radius"), ({"theta": 1.0}, "theta")])
+def test_sigma_max_refuses_out_of_range_arguments(p, kwargs, key):
+    with pytest.raises(ValueError, match=f"{key} must be in"):
+        stability.max_stable_noise(p, 0.0, 0.4, **kwargs)
+
+
 def test_certified_ball_contains_paths(p):
     # start inside half the certified radius; 95% of paths must stay inside
     sig = 0.5
