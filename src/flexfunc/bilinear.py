@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from ._csvio import write_csv
-from .dynamics import Trajectory, time_grid
+from .dynamics import _CHUNK, Trajectory, time_grid
 
 
 @dataclass(frozen=True)
@@ -97,36 +97,6 @@ class ConvergenceStudy:
 
 
 _DEFAULT_DTS = tuple(2.0**-l for l in range(6, 13))
-_PW_BLOCKSIZE = 128  # numpy's pairwise summation adds runs of at most this many items in a loop
-
-
-def _pairwise_leaves(n: int, start: int = 0) -> list[tuple[int, int, int]]:
-    """The leaves of numpy's pairwise summation of an ``n``-long row, in order.
-
-    numpy splits a run of more than ``_PW_BLOCKSIZE`` items after
-    n // 2 - (n // 2) % 8 items and adds the two halves' sums; shorter runs
-    are the leaves.  Each leaf is (a, b, adds): its items [a, b) and how many
-    of those additions its sum completes (see ``_pairwise_push``).
-    """
-    if n <= _PW_BLOCKSIZE:
-        return [(start, start + n, 0)]
-    n2 = n // 2 - (n // 2) % 8
-    leaves = _pairwise_leaves(n2, start) + _pairwise_leaves(n - n2, start + n2)
-    a, b, adds = leaves[-1]
-    leaves[-1] = (a, b, adds + 1)
-    return leaves
-
-
-def _pairwise_push(stack: list, leaf_sum, adds: int) -> None:
-    """Push the next leaf's sum and complete ``adds`` pairwise additions.
-
-    Pushing every leaf of ``_pairwise_leaves(n)`` in order leaves one entry:
-    the row sum with the bits of numpy's ``sum`` over the whole row.
-    """
-    stack.append(leaf_sum)
-    for _ in range(adds):
-        right = stack.pop()
-        stack[-1] = stack[-1] + right
 
 
 def strong_convergence_study(
@@ -146,17 +116,18 @@ def strong_convergence_study(
 
     All paths advance together, one time block of fine increments at a
     time; every step size takes its steps from the block into its own state
-    vector.  A block is a run of leaves of numpy's pairwise summation of an
-    n_fine-long row (``_pairwise_leaves``) that ends on a multiple of every
-    ratio dt / dt_fine, so each coarse increment sums the same fine ones as
-    over the whole row, and w(t_end) is the leaf sums added in numpy's
-    order, with the bits of a whole-row ``sum``.  Memory is
-    O(n_paths * block): one leaf of at most 128 steps per block at the
-    default step sizes, and all n_fine steps in one block when no earlier
-    leaf ends on a multiple of every ratio.  A system that every step size
-    solves exactly has no error slope and raises ``ArithmeticError``.
+    vector, and w(t_end) adds up the blocks' row sums.  A block is the
+    largest multiple of lcm(dt / dt_fine) that fits in ``_CHUNK`` steps, or
+    the lcm itself when that exceeds ``_CHUNK``, so each block holds whole
+    coarse steps and memory is O(n_paths * max(_CHUNK, lcm)).
+    A system that every step size solves exactly has no error slope and
+    raises ``ArithmeticError``.
     """
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dts = np.asarray(sorted(set(float(d) for d in dts), reverse=True))
+    if not np.isfinite(dts).all():
+        raise ValueError(f"dts must be finite, got {dts.tolist()}")
     if dts.size < 2:
         raise ValueError("need at least two distinct step sizes to fit a slope")
     if dts[-1] <= 0.0:
@@ -175,27 +146,20 @@ def strong_convergence_study(
         ratios.append(r)
 
     every_ratio = math.lcm(*ratios)
+    block = every_ratio * max(1, _CHUNK // every_ratio)
     streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
     xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
-    partial = []  # open pairwise partial sums of each path's fine increments
-    s0, leaves = 0, []
-    for leaf in _pairwise_leaves(n_fine):
-        leaves.append(leaf)
-        s1 = leaf[1]
-        if s1 % every_ratio:
-            continue
-        dw_fine = rng.fill_normals(streams, np.empty((n_paths, s1 - s0)))
+    w_end = np.zeros(n_paths)
+    for s0 in range(0, n_fine, block):
+        dw_fine = rng.fill_normals(streams, np.empty((n_paths, min(block, n_fine - s0))))
         dw_fine *= math.sqrt(dt_fine)
-        for a, b, adds in leaves:
-            _pairwise_push(partial, dw_fine[:, a - s0 : b - s0].sum(axis=1), adds)
+        w_end += dw_fine.sum(axis=1)
         for j, (dt, ratio) in enumerate(zip(dts, ratios)):
             dw = dw_fine if ratio == 1 else dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
             x = xs[j]
             for i in range(dw.shape[1]):
                 x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
             xs[j] = x
-        s0, leaves = s1, []
-    (w_end,) = partial
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
     errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])
@@ -224,6 +188,8 @@ def demo_paths(
     master_seed: int = 7,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Euler-Maruyama path next to the exact path on the same noise."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = t_end / n_steps
     dw = math.sqrt(dt) * rng.path_normals(master_seed, 0, n_steps)
     times = np.arange(n_steps + 1) * dt

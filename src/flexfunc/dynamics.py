@@ -186,8 +186,9 @@ def _step_blocks(n_steps: int):
     """Step ranges [s0, s1) of ``_CHUNK`` steps; the last may be shorter, never 1 step.
 
     The first block also carries the t = 0 column and a 1-step tail joins the
-    block before it: numpy sums a single column pairwise but several columns
-    row by row, and the row-by-row bits are those of the whole state matrix.
+    block before it: numpy sums a single column in a tree order but several
+    columns row by row, and the row-by-row bits are those of the whole state
+    matrix.
     """
     bounds = list(range(0, n_steps, _CHUNK)) + [n_steps]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:

@@ -22,7 +22,6 @@ the cell width to get probabilities.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,26 +252,15 @@ def stationary_pdf(gen: GeneratorMatrix) -> np.ndarray:
     For a connected chain the zero-net-flux recursion
     pi_{i+1} = pi_i * up_i / down_{i+1} is exact (detailed balance holds for
     any one-dimensional birth-death chain); it is evaluated in log space.
-    A disconnected chain (pure drift, sigma_x = 0) has its mass trapped in
-    absorbing cells; that degenerate distribution is returned with a warning.
+    A disconnected chain (pure drift, sigma_x = 0) has no unique stationary
+    density and raises ``ArithmeticError``.
     """
-    n = gen.n_cells
-    h = gen.grid.width
     if not gen.connected():
-        absorbing = np.flatnonzero((gen.up == 0.0) & (gen.down == 0.0))
-        if len(absorbing) == 0:
-            raise ValueError("disconnected chain without absorbing cells")
-        warnings.warn(
-            "chain is disconnected (pure drift); returning absorbing-cell mass",
-            stacklevel=2,
-        )
-        pdf = np.zeros(n)
-        pdf[absorbing] = 1.0 / (len(absorbing) * h)
-        return pdf
+        raise ArithmeticError("stationary density undefined for a disconnected chain")
     logpi = _log_stationary(gen)
     pi = np.exp(logpi)
     pi /= pi.sum()
-    return pi / h
+    return pi / gen.grid.width
 
 
 def stationary_moments(gen: GeneratorMatrix) -> tuple[float, float]:

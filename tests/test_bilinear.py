@@ -91,6 +91,18 @@ def test_convergence_validation():
         bilinear.strong_convergence_study(bp, dts=[0.5, -0.25])
     with pytest.raises(ValueError):
         bilinear.strong_convergence_study(bp, n_paths=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dts must be finite"):
+            bilinear.strong_convergence_study(bp, dts=[bad, 0.25])
+    for bad in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            bilinear.strong_convergence_study(bp, dts=[0.5, 0.25], t_end=bad)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_demo_paths_refuses_no_steps(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        bilinear.demo_paths(BilinearParams(), n_steps=n_steps)
 
 
 def test_brownian_refinement_consistency():
@@ -137,9 +149,19 @@ def test_convergence_study_refuses_all_zero_errors(bp):
 
 # -- independent oracle: the whole fine noise matrix in memory, summed in one call
 
+_U = 2.0**-53  # unit roundoff of float64
+
 
 def _in_memory_study(bp, dts, n_paths, master_seed, t_end):
-    """Strong errors and slope with every fine increment of every path held at once."""
+    """Strong errors with every fine increment of every path held at once, and their bound.
+
+    The streamed study sums each path's fine increments into w(t_end) block
+    by block, in another order than one row sum.  Any order of summing n
+    terms is within (n - 1) u sum|terms| of the exact sum (Higham 2002,
+    section 4.2), so the two w(t_end) differ by at most twice that, each
+    exact terminal value by a factor of at most exp(|r2| times that), and
+    each error by the mean of those changes plus the rounding of the mean.
+    """
     dts = np.asarray(sorted(set(dts), reverse=True))
     n_fine = int(round(t_end / dts[-1]))
     dw_fine = rng.normals(master_seed, range(n_paths), n_fine)
@@ -153,7 +175,16 @@ def _in_memory_study(bp, dts, n_paths, master_seed, t_end):
         for i in range(dw.shape[1]):
             x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
         errors[j] = np.mean(np.abs(x - x_exact_end))
-    return errors, float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
+    w_slack = 2 * abs(bp.r2) * (n_fine - 1) * _U * np.abs(dw_fine).sum(axis=1)
+    bound = np.mean(np.abs(x_exact_end) * np.expm1(w_slack)) + 8 * _U * errors
+    return errors, bound
+
+
+def _check_against_in_memory_oracle(bp, kw):
+    errors, bound = _in_memory_study(bp, **kw)
+    study = bilinear.strong_convergence_study(bp, **kw)
+    assert np.all(np.abs(study.errors - errors) <= bound), (study.errors - errors, bound)
+    assert study.slope == float(np.polyfit(np.log(study.dts), np.log(study.errors), 1)[0])
 
 
 @st.composite
@@ -178,38 +209,15 @@ def _studies(draw):
 @settings(max_examples=40)
 @given(_studies())
 def test_streamed_study_matches_in_memory_oracle(case):
-    bp, kw = case
-    errors, slope = _in_memory_study(bp, **kw)
-    study = bilinear.strong_convergence_study(bp, **kw)
-    assert study.errors.tobytes() == errors.tobytes()
-    assert study.slope == slope
+    _check_against_in_memory_oracle(*case)
 
 
 @pytest.mark.parametrize("n_paths", [1, 7])
 def test_streamed_study_is_one_block_when_no_leaf_ends_on_every_ratio(n_paths):
-    # 4095 = lcm(5, 7, 9, 13) steps; every leaf but the last ends on a multiple of 8 below it
+    # lcm(5, 7, 9, 13) = 4095 steps exceeds _CHUNK, so the whole study is one block
     ratios = (1, 5, 7, 9, 13)
-    ends = [b for _, b, _ in bilinear._pairwise_leaves(4095)]
-    assert [b for b in ends if b % math.lcm(*ratios) == 0] == [4095]
     kw = dict(dts=[r / 4095 for r in ratios], n_paths=n_paths, master_seed=3, t_end=1.0)
-    errors, slope = _in_memory_study(BilinearParams(), **kw)
-    study = bilinear.strong_convergence_study(BilinearParams(), **kw)
-    assert study.errors.tobytes() == errors.tobytes() and study.slope == slope
-
-
-def test_pairwise_leaves_add_up_to_numpy_row_sum():
-    # a change to numpy's pairwise order fails here, not as a silent shift of the study's w(t_end)
-    rows = np.random.default_rng(5).standard_normal((2, 2**16 + 8))
-    for n in [*range(1, 1101), 4096, 4097, 12345, 2**16 + 8]:
-        x = rows[:, :n]
-        leaves = bilinear._pairwise_leaves(n)
-        assert [a for a, _, _ in leaves] == [0] + [b for _, b, _ in leaves[:-1]]
-        assert leaves[-1][1] == n
-        stack = []
-        for a, b, adds in leaves:
-            bilinear._pairwise_push(stack, x[:, a:b].sum(axis=1), adds)
-        (total,) = stack
-        assert total.tobytes() == x.sum(axis=1).tobytes(), n
+    _check_against_in_memory_oracle(BilinearParams(), kw)
 
 
 def test_streamed_study_memory_is_a_fraction_of_the_fine_matrix():
@@ -223,4 +231,18 @@ def test_streamed_study_memory_is_a_fraction_of_the_fine_matrix():
         tracemalloc.stop()
     assert 0.4 <= study.slope <= 0.6
     fine_matrix = 1000 * 4096 * 8  # 32.8 MB at the default finest dt 2^-12
+    assert peak < fine_matrix / 4, peak
+
+
+def test_streamed_study_memory_when_no_power_of_two_ratio():
+    # ratios 1, 3, 5 have lcm 15, so blocks hold 120 of the 3825 fine steps
+    bp = BilinearParams()
+    bilinear.strong_convergence_study(bp, dts=[0.5, 0.25], n_paths=2)  # loads scipy.special
+    tracemalloc.start()
+    try:
+        bilinear.strong_convergence_study(bp, dts=[r / 3825 for r in (1, 3, 5)], n_paths=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fine_matrix = 1000 * 3825 * 8  # 30.6 MB
     assert peak < fine_matrix / 4, peak

@@ -812,17 +812,16 @@ def test_numerical_failure_exits_3_before_any_output(tmp_path, capsys):
 _NOISELESS = dict(REF_PARAMS, sigma_x=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:chain is disconnected")
 @pytest.mark.parametrize(
     "command,params,block,message",
     [
         (
             "sweep", _NOISELESS, _small("sweep", B_values=[0.0, 0.4], n_cells=50),
-            "spectral gap undefined for a disconnected chain",
+            "stationary density undefined for a disconnected chain",
         ),
         (
             "density", _NOISELESS, _small("density", B=1.0, n_cells=50),
-            "spectral gap undefined for a disconnected chain",
+            "stationary density undefined for a disconnected chain",
         ),
         ("examples", REF_PARAMS, _small("examples", systems=[{"x0": 0.0}]), "every strong error is 0"),
         (
