@@ -8,8 +8,8 @@ master seed and byte-identical across repeated runs.  ``--threads`` and the
 "threads" key are accepted and checked so that older configs keep working;
 they have no effect.
 
-Exit codes: 0 success, 1 validation or certificate failure, 2 usage or
-config error, 3 numerical failure.
+Exit codes: 0 success, 1 validation or certificate failure, 2 usage,
+config or output-path error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config parse error in {path}: nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -490,7 +492,7 @@ def cmd_examples(cfg: dict, out: str) -> int:
     )
     systems = [
         (bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end),
-         bilinear.demo_paths(bp, t_end, block["n_steps"], seed + i))
+         bilinear.demo_paths(bp, t_end, block["n_steps"], (seed + i) % 2**64))
         for i, bp in enumerate(toys, start=1)
     ]
     out = _out_dir(out)
@@ -538,10 +540,10 @@ def main(argv=None) -> int:
         if args.command not in ("validate", "examples") and not _require_valid(cfg["params"]):
             return EXIT_FAIL
         return args.handler(cfg, args.out)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

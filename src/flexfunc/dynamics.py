@@ -182,20 +182,6 @@ def integrate_ode(
     return Trajectory(times=times, states=states, demands=demands)
 
 
-def _step_blocks(n_steps: int):
-    """Step ranges [s0, s1) of ``_CHUNK`` steps; the last may be shorter, never 1 step.
-
-    The first block also carries the t = 0 column and a 1-step tail joins the
-    block before it: numpy sums a single column in a tree order but several
-    columns row by row, and the row-by-row bits are those of the whole state
-    matrix.
-    """
-    bounds = list(range(0, n_steps, _CHUNK)) + [n_steps]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds, bounds[1:])
-
-
 def simulate_sde(
     params: FlexParams,
     x0: float,
@@ -211,10 +197,13 @@ def simulate_sde(
     Path ``p`` draws all its increments from the stream keyed by
     (master_seed, p).  All paths advance together, one block of at most
     ``_CHUNK`` steps at a time: the block's noise is drawn into an
-    (n_paths, steps) state block, the steps overwrite it with states, and
-    the block's columns of the mean, variance and 5/50/95% quantiles and of
-    the first ``keep`` paths (all of them when None) are written out.
-    Memory is O(n_paths * _CHUNK + keep * n_times).  The drift is
+    (n_paths, steps) state block and the steps overwrite it with their
+    pre-clamp states.  A non-finite state raises ``RuntimeError``; otherwise
+    the block's extremes update ``pre_clamp_min``/``max``, the block is
+    clamped, and its columns of the mean, variance and 5/50/95% quantiles
+    and of the first ``keep`` paths (all of them when None) are written out.
+    The t = 0 column is x0 exactly, with variance 0.  Memory is
+    O(n_paths * _CHUNK + keep * n_times).  The drift is
     ``model.deviation``, the kernel that also computes the ODE demand column.
     """
     x0 = check_unit("x0", x0)
@@ -231,25 +220,26 @@ def simulate_sde(
     streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
     states = np.empty((keep, len(times)))
     mean, var, q05, q50, q95 = np.empty((5, len(times)))
+    states[:, 0] = mean[0] = q05[0] = q50[0] = q95[0] = x0
+    var[0] = 0.0
     x = np.full(n_paths, x0)
-    lo, hi = x0, x0
-    for s0, s1 in _step_blocks(len(times) - 1):
-        # State columns s0 + 1 .. s1, and t = 0 in the first block.  Each
-        # column holds its step's noise until the step overwrites it.
-        first = int(s0 == 0)
-        block = np.empty((n_paths, first + s1 - s0))
-        block[:, :first] = x0
-        rng.fill_normals(streams, block[:, first:])
-        for j, i in enumerate(range(s0, s1), start=first):
+    lo, hi, n_steps = x0, x0, len(times) - 1
+    for s0 in range(0, n_steps, _CHUNK):
+        s1 = min(s0 + _CHUNK, n_steps)
+        # State columns s0 + 1 .. s1.  Each column holds its step's noise
+        # until the step overwrites it with the pre-clamp state.
+        block = np.empty((n_paths, s1 - s0))
+        rng.fill_normals(streams, block)
+        for j, i in enumerate(range(s0, s1)):
             dd = deviation(params, x, g_step[i], B_step[i])
             x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * block[:, j]
-            lo = min(lo, float(x.min()))
-            hi = max(hi, float(x.max()))
-            np.clip(x, 0.0, 1.0, out=x)
             block[:, j] = x
-        if not np.all(np.isfinite(x)):
+            np.clip(x, 0.0, 1.0, out=x)
+        if not np.all(np.isfinite(block)):
             raise RuntimeError("non-finite state in ensemble")
-        cols = slice(s0 + 1 - first, s1 + 1)
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+        np.clip(block, 0.0, 1.0, out=block)
+        cols = slice(s0 + 1, s1 + 1)
         states[:, cols] = block[:keep]
         mean[cols] = block.mean(axis=0)
         var[cols] = block.var(axis=0)

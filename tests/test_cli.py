@@ -188,9 +188,9 @@ def test_simulate_sde_files_are_full_state_statistics(tmp_path):
         FlexParams.from_dict(REF_PARAMS), 0.3, Schedule.constant(0.5, 0.4), 200, 21, dt=0.01, t_end=3.0
     )
     x = full.states
-    q05, q50, q95 = np.quantile(x, [0.05, 0.50, 0.95], axis=0)
-    write_csv(tmp_path / "oracle.csv", "t,mean,var,q05,q50,q95",
-              (full.times, x.mean(axis=0), x.var(axis=0), q05, q50, q95))
+    stats = np.array([x.mean(axis=0), x.var(axis=0), *np.quantile(x, [0.05, 0.50, 0.95], axis=0)])
+    stats[:, 0] = (0.3, 0.0, 0.3, 0.3, 0.3)  # t = 0 is x0 exactly
+    write_csv(tmp_path / "oracle.csv", "t,mean,var,q05,q50,q95", (full.times, *stats))
     assert (tmp_path / "cli" / "ens_summary.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     for i in (1, 2):
         Trajectory(full.times, x[i - 1]).to_csv(tmp_path / "path.csv")
@@ -800,13 +800,79 @@ def test_sde_block_rules_refused_before_any_output(tmp_path, changes, message, c
     assert not out.exists()
 
 
-def test_numerical_failure_exits_3_before_any_output(tmp_path, capsys):
-    # a valid but absurd capacity: the first RK4 step overflows the state
-    body = {"params": dict(REF_PARAMS, C=5e-324), "simulate": _small("simulate", dt=0.01, t_end=1.0)}
+@pytest.mark.parametrize(
+    "mode,message",
+    [
+        ("ode", "non-finite state at t=0.01"),
+        # the ensemble's array arithmetic warns of the overflow that the
+        # block's finiteness check then reports; the warning is expected here
+        pytest.param("sde", "non-finite state in ensemble",
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ],
+    ids=["ode", "sde"],
+)
+def test_numerical_failure_exits_3_before_any_output(tmp_path, mode, message, capsys):
+    # a valid but absurd capacity: the first step overflows the state
+    block = _small("simulate", mode=mode, dt=0.01, t_end=1.0, n_paths=4)
+    body = {"params": dict(REF_PARAMS, C=1e-320), "simulate": block}
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
-    assert "numerical failure: non-finite state at t=0.01" in capsys.readouterr().err
+    assert f"numerical failure: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, under, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "simulate": _small("simulate")})
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "keep\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+
+@pytest.mark.parametrize(
+    "command,block,owner,name",
+    [
+        ("sweep", _small("sweep"), "flexfunc.cli", "build_generator"),
+        ("sweep", _small("sweep", u_values={"start": 0, "stop": 1, "count": 2}), "numpy", "linspace"),
+        ("certify", _small("certify"), "flexfunc.cli", "certify_deterministic"),
+    ],
+    ids=["n_cells", "range-count", "grid_n"],
+)
+def test_out_of_memory_exits_3_before_any_output(tmp_path, monkeypatch, command, block, owner, name, capsys):
+    # the allocation fails by injection: a host that overcommits may grant a real huge request
+    monkeypatch.setattr(sys.modules[owner], name, _out_of_memory)
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"params": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config parse error in {cfg}: nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_examples_accept_the_largest_seed(tmp_path):
+    # demo system i draws from seed + i modulo 2**64, so the seeds wrap past 2**64 - 1
+    system = {"r1": 1.0, "r2": -1.2, "x0": 1.0}
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "examples": _small("examples", systems=[system] * 2)})
+    for seed in (2**64 - 1, 2**64 - 2):
+        assert main(["examples", "--config", cfg, "--out", str(tmp_path / str(seed)), "--seed", str(seed)]) == 0
+    paths = tmp_path / str(2**64 - 1) / "examples_system1_paths.csv"
+    assert paths.read_bytes() == (tmp_path / str(2**64 - 2) / "examples_system2_paths.csv").read_bytes()
 
 
 _NOISELESS = dict(REF_PARAMS, sigma_x=0.0)

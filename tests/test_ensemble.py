@@ -11,7 +11,7 @@ from flexfunc.dynamics import Schedule, simulate_sde
 from flexfunc.model import reference_params
 
 CHUNK = dynamics._CHUNK
-X0 = 0.3  # its full-matrix column mean and its pairwise 1-D mean differ in the last bits
+X0 = 0.3  # the mean of a column of X0s is not X0 in the last bits
 SCHED = Schedule(breakpoints=(0.0, 1.5), u_values=(0.1, 0.8), B_values=(0.4, 0.7))
 DT = 0.01
 
@@ -40,6 +40,11 @@ def summary_bits(ens):
     return {name: col.tobytes() for name, col in ens.summary().items()}
 
 
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of a double."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
 @pytest.mark.parametrize("n_steps", [1, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 2])
 @pytest.mark.parametrize("n_paths", [1, 3, 1025])
 def test_streamed_ensemble_matches_full_state_oracle(n_paths, n_steps):
@@ -47,13 +52,34 @@ def test_streamed_ensemble_matches_full_state_oracle(n_paths, n_steps):
     kw = dict(dt=DT, t_end=n_steps * DT)
     times, states, lo, hi = full_state_em(*args, **kw)
     q05, q50, q95 = np.quantile(states, [0.05, 0.50, 0.95], axis=0)
-    oracle = dict(t=times, mean=states.mean(axis=0), var=states.var(axis=0), q05=q05, q50=q50, q95=q95)
+    mean, var = states.mean(axis=0), states.var(axis=0)
 
     full = simulate_sde(*args, **kw)
     assert full.states.tobytes() == states.tobytes()
-    assert summary_bits(full) == {name: col.tobytes() for name, col in oracle.items()}
     assert full.terminal.tobytes() == states[:, -1].tobytes()
     assert (full.pre_clamp_min, full.pre_clamp_max) == (lo, hi)
+    s = full.summary()
+    assert s["t"].tobytes() == times.tobytes()
+    for name, col in dict(q05=q05, q50=q50, q95=q95).items():
+        assert s[name].tobytes() == col.tobytes(), name
+    # t = 0 is x0 exactly; the oracle's column mean of X0 is not
+    assert [s[name][0] for name in ("mean", "var", "q05", "q50", "q95")] == [X0, 0.0, X0, X0, X0]
+    # A 1-step block's column is summed in another order than the columns of
+    # a wider block.  Any order of n terms is within gamma_{n-1} sum|terms| of
+    # the exact sum (Higham 2002, section 4.2), so each computed mean is within
+    # gamma_n mean|x| of the exact one.  The variance sums nonnegative squares
+    # of deviations from that mean, three roundings each before the sum and
+    # one after it: each computed variance is within gamma_{n+3} var +
+    # (mean error)^2 of the exact one, and gamma_{n+4} times the oracle's var
+    # covers gamma_{n+3} times the exact var, to first order in u.
+    odd = n_steps if n_steps % CHUNK == 1 else None
+    same = [c for c in range(1, n_steps + 1) if c != odd]
+    assert s["mean"][same].tobytes() == mean[same].tobytes()
+    assert s["var"][same].tobytes() == var[same].tobytes()
+    if odd is not None:
+        e_mean = gamma(n_paths) * np.abs(states[:, odd]).mean()
+        assert abs(s["mean"][odd] - mean[odd]) <= 2.0 * e_mean
+        assert abs(s["var"][odd] - var[odd]) <= 2.0 * (gamma(n_paths + 4) * var[odd] + e_mean**2)
 
     for keep in (0, 3, n_paths):
         if keep > n_paths:

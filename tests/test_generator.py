@@ -263,17 +263,21 @@ def test_spectral_gap_matches_dense_eigvalsh(u, B, sigma_x, n_cells):
     **_draws,
     x0=st.floats(0.0, 1.0),
     dt=st.floats(1e-3, 2.0),
-    n_steps=st.integers(1, 4),
+    intervals=st.lists(st.tuples(st.integers(1, 4), st.floats(0.01, 1.0)), min_size=1, max_size=4),
 )
-def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, n_steps):
+def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, intervals):
+    # an interval of (n_sub - 1 + frac) dt takes n_sub equal steps of span / n_sub
     g = build_generator(reference_params(sigma_x), u, B, n_cells=n_cells)
     pdf0 = generator.point_mass_pdf(g.grid, x0)
-    series = generator.evolve_pdf(g, pdf0, dt * np.arange(1, n_steps + 1), dt=dt)
+    times = np.cumsum([dt * (n_sub - 1 + frac) for n_sub, frac in intervals])
+    spans = np.diff(times, prepend=0.0)
+    series = generator.evolve_pdf(g, pdf0, times, dt=dt)
     h = g.grid.width
-    a = np.eye(n_cells) - dt * g.dense().T
     p = pdf0 * h
-    for row in series.pdfs:
-        p = np.linalg.solve(a, p)
+    for row, (n_sub, _), span in zip(series.pdfs, intervals, spans):
+        a = np.eye(n_cells) - (span / n_sub) * g.dense().T
+        for _ in range(n_sub):
+            p = np.linalg.solve(a, p)
         assert np.max(np.abs(row * h - p)) < 1e-12
         assert abs(row.sum() * h - 1.0) < 1e-12
         assert row.min() >= 0.0
