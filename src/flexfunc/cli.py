@@ -30,6 +30,7 @@ from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
 from .equilibria import CORNERS, certify_deterministic
 from .generator import (
     build_generator,
+    density_moments,
     evolve_pdf,
     point_mass_pdf,
     spectral_gap,
@@ -415,7 +416,7 @@ def cmd_density(cfg: dict, out: str) -> int:
     if "transient" in write or "cdf" in write:
         series = evolve_pdf(gen, pdf0, block["times"], dt=block["dt"])
     pdf_inf = stationary_pdf(gen)
-    mean, var = stationary_moments(gen)
+    mean, var = density_moments(gen.grid, pdf_inf)
     info = {
         "u": block["u"], "B": block["B"], "n_cells": block["n_cells"],
         "stationary_mean": mean, "stationary_var": var,

@@ -262,9 +262,13 @@ def stationary_pdf(gen: GeneratorMatrix) -> np.ndarray:
 
 def stationary_moments(gen: GeneratorMatrix) -> tuple[float, float]:
     """Mean and variance of the stationary density."""
-    pdf = stationary_pdf(gen)
-    x = gen.grid.centers
-    w = pdf * gen.grid.width
+    return density_moments(gen.grid, stationary_pdf(gen))
+
+
+def density_moments(grid: StateGrid, pdf: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a density given by its cell averages on ``grid``."""
+    x = grid.centers
+    w = pdf * grid.width
     mean = float(np.dot(w, x))
     var = float(np.dot(w, (x - mean) ** 2))
     return mean, var

@@ -3,9 +3,9 @@
 Each simulated path owns a Philox stream keyed by (master_seed, path_index),
 so the numbers a path sees depend only on that pair, never on scheduling,
 worker count or evaluation order.  Gaussian increments are produced by the
-inverse normal CDF applied to open-interval uniforms, which keeps the
-draw-count per path fixed (no rejection step): drawing a stream in blocks
-gives the same numbers as drawing it in one call.
+inverse normal CDF applied to uniforms in [2^-54, 1 - 2^-53], which keeps
+the draw-count per path fixed (no rejection step): drawing a stream in
+blocks gives the same numbers as drawing it in one call.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 _U64_MAX = 2**64 - 1
-_CONVERT_ROWS = 64  # rows per uint64 -> float pass of fill_normals; bounds its copy
 
 
 def check_seed(seed: int) -> int:
@@ -22,10 +21,10 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def path_stream(master_seed: int, path_index: int) -> np.random.Philox:
-    """The stream of one path, keyed by (master_seed, path_index)."""
+def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
+    """The stream of one path, keyed by (master_seed, path_index), on Philox."""
     key = np.array([check_seed(master_seed), check_seed(path_index)], dtype=np.uint64)
-    return np.random.Philox(key=key)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def fill_normals(streams, out: np.ndarray) -> np.ndarray:
@@ -33,21 +32,19 @@ def fill_normals(streams, out: np.ndarray) -> np.ndarray:
 
     Each uniform is (k + 0.5) 2^-53 for the top 53 bits k of one raw 64-bit
     draw, the value ``Generator.integers(0, 2**53)`` gives, at a quarter of
-    its per-call cost.  The raw draws are written into ``out`` itself, read
-    as uint64, shifted in one pass and turned into floats ``_CONVERT_ROWS``
-    rows at a time (numpy copies an overlapping input first), so no
-    temporary of the block's size is made.
+    its per-call cost: ``Generator.random`` writes k 2^-53 into the row in
+    place and one pass adds 2^-54, which rounds as the sum k + 0.5 would.
+    For k = 2^53 - 1 that sum rounds to 1.0, whose normal is +inf, so the
+    uniforms are clamped to 1 - 2^-53.  No temporary of the block's size is
+    made.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.special import ndtri
 
-    bits = out.view(np.uint64)
-    for row, stream in zip(bits, streams):
-        row[:] = stream.random_raw(row.size)
-    bits >>= np.uint64(11)
-    for r in range(0, len(out), _CONVERT_ROWS):
-        np.add(bits[r : r + _CONVERT_ROWS], 0.5, out=out[r : r + _CONVERT_ROWS])
-    out *= 2.0**-53
+    for row, stream in zip(out, streams):
+        stream.random(out=row)
+    out += 2.0**-54
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     return ndtri(out, out=out)
 
 

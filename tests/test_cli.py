@@ -322,6 +322,30 @@ def test_density_evolves_once_for_transient_and_cdf(tmp_path, monkeypatch):
     assert (tmp_path / "d_cdf.csv").read_bytes() == (tmp_path / "ref_cdf.csv").read_bytes()
 
 
+def test_density_computes_the_stationary_density_once(tmp_path, monkeypatch):
+    from flexfunc import generator
+    from flexfunc.model import FlexParams
+
+    calls = []
+    log_stationary = generator._log_stationary
+
+    def counting(gen):
+        calls.append(gen)
+        return log_stationary(gen)
+
+    monkeypatch.setattr(generator, "_log_stationary", counting)
+    body = {
+        "params": REF_PARAMS,
+        "density": {"u": 0.2, "B": 0.4, "n_cells": 32, "write": ["stationary"], "prefix": "d"},
+    }
+    assert main(["density", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    info = json.loads((tmp_path / "d_info.json").read_text(encoding="utf-8"))
+    gen = generator.build_generator(FlexParams.from_dict(REF_PARAMS), 0.2, 0.4, n_cells=32)
+    assert (info["stationary_mean"], info["stationary_var"]) == generator.stationary_moments(gen)
+
+
 @pytest.mark.parametrize("value", ["0.1", -0.1, [0.1], True])
 @pytest.mark.parametrize("command,key", [("density", "dt"), ("simulate", "dt"), ("simulate", "t_end")])
 def test_bad_step_or_horizon_is_config_error(tmp_path, command, key, value, capsys):
@@ -800,15 +824,10 @@ def test_sde_block_rules_refused_before_any_output(tmp_path, changes, message, c
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
 @pytest.mark.parametrize(
     "mode,message",
-    [
-        ("ode", "non-finite state at t=0.01"),
-        # the ensemble's array arithmetic warns of the overflow that the
-        # block's finiteness check then reports; the warning is expected here
-        pytest.param("sde", "non-finite state in ensemble",
-                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
-    ],
+    [("ode", "non-finite state at t=0.01"), ("sde", "non-finite state in ensemble")],
     ids=["ode", "sde"],
 )
 def test_numerical_failure_exits_3_before_any_output(tmp_path, mode, message, capsys):
@@ -817,7 +836,7 @@ def test_numerical_failure_exits_3_before_any_output(tmp_path, mode, message, ca
     body = {"params": dict(REF_PARAMS, C=1e-320), "simulate": block}
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
-    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not out.exists()
 
 

@@ -310,6 +310,20 @@ def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     assert ndtri((ints.astype(np.float64) + 0.5) * 2.0**-53).tobytes() == whole.tobytes()
 
 
+def test_largest_raw_draw_gives_a_finite_normal():
+    # a raw draw whose top 53 bits are all ones: (k + 0.5) 2^-53 rounds to 1.0
+    stream = rng.path_stream(3, 0)
+    state = stream.bit_generator.state
+    state["buffer"] = np.full(4, 2**64 - 1, dtype=np.uint64)
+    state["buffer_pos"] = 0  # the next four raw draws come from the buffer
+    stream.bit_generator.state = state
+    z = rng.fill_normals([stream], np.empty((1, 6)))[0]
+    assert np.isfinite(z).all()
+    assert (z[:4] == z[0]).all() and z[0] > 8.2
+    # the draws after the buffer are the stream's own
+    assert z[4:].tobytes() == rng.path_normals(3, 0, 2).tobytes()
+
+
 _unit = st.floats(0.0, 1.0)
 
 

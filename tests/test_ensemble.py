@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flexfunc import dynamics, model, rng
 from flexfunc.dynamics import Schedule, simulate_sde
@@ -125,6 +128,30 @@ def test_fill_normals_makes_no_block_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes / 8, peak
-    # rows on both sides of a conversion-chunk edge are their streams' own draws
-    for r in (0, rng._CONVERT_ROWS - 1, rng._CONVERT_ROWS, 4095):
+    # sampled rows are their streams' own draws
+    for r in (0, 63, 64, 4095):
         assert out[r].tobytes() == rng.path_normals(13, r, CHUNK).tobytes()
+
+
+@st.composite
+def sample_columns(draw):
+    """Columns of 1 to 320 samples with ties, subnormals and one sign of zero.
+
+    -0.0 and +0.0 compare equal, so a sort and numpy's partition may leave
+    them in different orders, and the sign of an interpolated zero follows
+    that order.  Each array gets one sign of zero, drawn.
+    """
+    shape = (draw(st.integers(1, 320)), draw(st.integers(1, 4)))
+    values = st.one_of(
+        st.floats(-1.0, 1.0, allow_subnormal=True),
+        st.sampled_from([0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.3, 1.0]),
+    )
+    a = draw(arrays(np.float64, shape, elements=values))
+    return np.where(a == 0.0, draw(st.sampled_from([0.0, -0.0])), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_columns())
+def test_sorted_row_quantiles_are_numpys_linear_quantiles(a):
+    expected = np.quantile(a, [0.05, 0.50, 0.95], axis=0)
+    assert dynamics._quantiles(np.sort(a.T, axis=1)).tobytes() == expected.tobytes()
