@@ -2,10 +2,11 @@
 
 Each simulated path owns a Philox stream keyed by (master_seed, path_index),
 so the numbers a path sees depend only on that pair, never on scheduling,
-worker count or evaluation order.  Gaussian increments are produced by the
-inverse normal CDF applied to uniforms in [2^-54, 1 - 2^-53], which keeps
-the draw-count per path fixed (no rejection step): drawing a stream in
-blocks gives the same numbers as drawing it in one call.
+worker count or evaluation order.  Gaussian increments come from numpy's
+ziggurat sampler (``Generator.standard_normal``) on that stream.  A path
+reads its own stream in order and nothing jumps a stream by its counter, so
+drawing a stream in blocks gives the same numbers as drawing it in one call,
+although the ziggurat takes a varying number of raw draws per normal.
 """
 
 from __future__ import annotations
@@ -30,22 +31,12 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 def fill_normals(streams, out: np.ndarray) -> np.ndarray:
     """Fill row ``r`` of ``out`` with the next standard normal draws of ``streams[r]``.
 
-    Each uniform is (k + 0.5) 2^-53 for the top 53 bits k of one raw 64-bit
-    draw, the value ``Generator.integers(0, 2**53)`` gives, at a quarter of
-    its per-call cost: ``Generator.random`` writes k 2^-53 into the row in
-    place and one pass adds 2^-54, which rounds as the sum k + 0.5 would.
-    For k = 2^53 - 1 that sum rounds to 1.0, whose normal is +inf, so the
-    uniforms are clamped to 1 - 2^-53.  No temporary of the block's size is
-    made.
+    Each row is written in place by ``Generator.standard_normal(out=row)``,
+    so no temporary of the block's size is made.
     """
-    # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
-    from scipy.special import ndtri
-
     for row, stream in zip(out, streams):
-        stream.random(out=row)
-    out += 2.0**-54
-    np.minimum(out, 1.0 - 2.0**-53, out=out)
-    return ndtri(out, out=out)
+        stream.standard_normal(out=row)
+    return out
 
 
 def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:

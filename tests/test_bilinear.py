@@ -222,7 +222,6 @@ def test_streamed_study_is_one_block_when_no_leaf_ends_on_every_ratio(n_paths):
 
 def test_streamed_study_memory_is_a_fraction_of_the_fine_matrix():
     bp = BilinearParams(1.0, -1.2, 1.0)
-    bilinear.strong_convergence_study(bp, dts=[0.5, 0.25], n_paths=2)  # loads scipy.special
     tracemalloc.start()
     try:
         study = bilinear.strong_convergence_study(bp, n_paths=1000)
@@ -237,7 +236,6 @@ def test_streamed_study_memory_is_a_fraction_of_the_fine_matrix():
 def test_streamed_study_memory_when_no_power_of_two_ratio():
     # ratios 1, 3, 5 have lcm 15, so blocks hold 120 of the 3825 fine steps
     bp = BilinearParams()
-    bilinear.strong_convergence_study(bp, dts=[0.5, 0.25], n_paths=2)  # loads scipy.special
     tracemalloc.start()
     try:
         bilinear.strong_convergence_study(bp, dts=[r / 3825 for r in (1, 3, 5)], n_paths=1000)

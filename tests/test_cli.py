@@ -708,13 +708,16 @@ def test_sde_byte_determinism_subprocess(tmp_path):
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
-    # scipy.special and scipy.linalg load on first use: eager imports cost
-    # every command ~25 MB of peak memory and ~0.3 s of start-up.  The
-    # commands that need neither (ode simulate, certify, validate) must
-    # finish in the same process with no scipy module loaded at all.
+    # scipy loads on first use, and only the generator layer uses it: an
+    # eager import costs every command ~25 MB of peak memory and ~0.3 s of
+    # start-up.  The commands that build no generator (ode and sde simulate,
+    # examples, certify, validate) must finish in the same process with no
+    # scipy module loaded at all.
     configs = Path(__file__).resolve().parent.parent / "configs"
     runs = [
         ["simulate", "--config", str(configs / "fig2.json"), "--out", str(tmp_path / "fig2")],
+        ["simulate", "--config", str(configs / "fig4.json"), "--out", str(tmp_path / "fig4")],
+        ["examples", "--config", str(configs / "fig3.json"), "--out", str(tmp_path / "fig3")],
         ["certify", "--config", str(configs / "certify.json"), "--out", str(tmp_path / "certify")],
         ["validate", "--config", str(configs / "fig2.json")],
     ]
@@ -725,7 +728,7 @@ def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     )
     res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 _NAN = float("nan")

@@ -297,30 +297,30 @@ def test_path_normals_contract():
 
 @pytest.mark.parametrize("seed, path", [(7, 5), (0, 0), (2**64 - 1, 2**64 - 1)])
 def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
-    from scipy.special import ndtri
-
     whole = rng.path_normals(seed, path, 2000)
     stream = rng.path_stream(seed, path)
     parts = [rng.fill_normals([stream], np.empty((1, n)))[0] for n in (64, 64, 1000, 872)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
-    # the uniforms are those Generator.integers(0, 2**53) draws from the same key
+    # the draws are numpy's standard normals on the Philox stream of the same key
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
-    ints = gen.integers(0, 1 << 53, size=2000, dtype=np.uint64)
-    assert ndtri((ints.astype(np.float64) + 0.5) * 2.0**-53).tobytes() == whole.tobytes()
+    assert gen.standard_normal(2000).tobytes() == whole.tobytes()
 
 
-def test_largest_raw_draw_gives_a_finite_normal():
-    # a raw draw whose top 53 bits are all ones: (k + 0.5) 2^-53 rounds to 1.0
-    stream = rng.path_stream(3, 0)
-    state = stream.bit_generator.state
-    state["buffer"] = np.full(4, 2**64 - 1, dtype=np.uint64)
-    state["buffer_pos"] = 0  # the next four raw draws come from the buffer
-    stream.bit_generator.state = state
-    z = rng.fill_normals([stream], np.empty((1, 6)))[0]
+def test_extreme_raw_draws_give_finite_normals():
+    def drawn_after(raw):
+        stream = rng.path_stream(3, 0)
+        state = stream.bit_generator.state
+        state["buffer"] = np.full(4, raw, dtype=np.uint64)
+        state["buffer_pos"] = 0  # the next four raw draws come from the buffer
+        stream.bit_generator.state = state
+        return rng.fill_normals([stream], np.empty((1, 6)))[0]
+
+    assert np.isfinite(drawn_after(2**64 - 1)).all()
+    z = drawn_after(0)
     assert np.isfinite(z).all()
-    assert (z[:4] == z[0]).all() and z[0] > 8.2
-    # the draws after the buffer are the stream's own
+    # a zero raw draw is a zero normal; the draws after the buffer are the stream's own
+    assert (z[:4] == 0.0).all()
     assert z[4:].tobytes() == rng.path_normals(3, 0, 2).tobytes()
 
 

@@ -104,7 +104,6 @@ def test_keep_is_validated():
 
 def test_streamed_ensemble_memory_does_not_grow_with_the_horizon():
     p = reference_params()
-    simulate_sde(p, X0, SCHED, 2, 1, dt=DT, t_end=0.1)  # load scipy.special outside the trace
     n_paths, n_times = 2048, 2001
     tracemalloc.start()
     try:
@@ -120,7 +119,6 @@ def test_streamed_ensemble_memory_does_not_grow_with_the_horizon():
 def test_fill_normals_makes_no_block_sized_temporary():
     streams = [rng.path_stream(13, p) for p in range(4096)]
     out = np.empty((4096, CHUNK))
-    rng.path_normals(13, 0, 1)  # load scipy.special outside the trace
     tracemalloc.start()
     try:
         rng.fill_normals(streams, out)
