@@ -4,9 +4,11 @@ Every certificate checks a Lyapunov-type rate on the same sample: a uniform
 grid of ``grid_n`` >= ``MIN_GRID_N`` points on [0, 1], minus the ball of radius
 ``EXCLUSION_RADIUS`` around x* (where every rate vanishes), minus whatever
 the claim's ``keep`` predicate drops.  :func:`grid_certificate` owns that
-sample, the vacuous pass on an empty sample, and the margin, pass and
-failure-interval packaging; the certifiers in ``equilibria`` and
-``stability`` only supply x*, the rate and the predicate.
+sample and the margin, pass and failure-interval packaging; the certifiers
+in ``equilibria`` and ``stability`` only supply x*, the rate and the
+predicate.  :func:`empty_certificate` builds every certificate that checks
+no point: the vacuous pass on an empty sample and the failed claim with
+nothing to check.
 """
 
 from __future__ import annotations
@@ -94,15 +96,7 @@ def grid_certificate(
     if keep is not None:
         xs = xs[keep(xs)]
     if xs.size == 0:
-        return StabilityCertificate(
-            claim=claim,
-            params_hash=params_hash,
-            region=(x_star, x_star),
-            threshold=threshold,
-            margin=-np.inf,
-            passed=True,
-            degenerate=True,
-        )
+        return empty_certificate(claim, params_hash, x_star, threshold, passed=True)
     values = rate(xs)
     margin = float(np.max(values))
     return StabilityCertificate(
@@ -116,16 +110,16 @@ def grid_certificate(
     )
 
 
-def failed_degenerate(
-    claim: str, params_hash: str, x_star: float, threshold: float
+def empty_certificate(
+    claim: str, params_hash: str, x_star: float, threshold: float, passed: bool
 ) -> StabilityCertificate:
-    """A claim with nothing to check (zero drift gain): degenerate and failed."""
+    """A degenerate certificate that checks no point: margin -inf if it passes, else +inf."""
     return StabilityCertificate(
         claim=claim,
         params_hash=params_hash,
         region=(x_star, x_star),
         threshold=threshold,
-        margin=np.inf,
-        passed=False,
+        margin=-np.inf if passed else np.inf,
+        passed=passed,
         degenerate=True,
     )

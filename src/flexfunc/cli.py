@@ -39,7 +39,9 @@ from .generator import (
     write_stationary_csv,
 )
 from .model import FlexParams, validate
-from .stability import certify_bounded, certify_stable, max_stable_noise, min_drift_gain
+from .stability import (
+    certify_bounded, certify_stable, max_stable_noise, min_drift_gain, radius_meets_target,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -466,7 +468,7 @@ def cmd_certify(cfg: dict, out: str) -> int:
     sigma_max = None
     if min_drift_gain(params, B_star) > 0.0:
         sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta, grid_n=grid_n)
-    radius_ok = radius >= target_radius - 1e-12
+    radius_ok = radius_meets_target(radius, target_radius)
     overall = all(c.passed for c in certs) and radius_ok
 
     doc = {c.claim: c.to_json_dict() for c in certs} | {

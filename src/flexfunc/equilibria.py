@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import StabilityCertificate, check_grid_n, grid_certificate
-from .model import FlexParams, charge_response, check_unit, drift, price_response
+from .model import IDENTITY_TOL, FlexParams, charge_response, check_unit, drift, price_response
 
 #: the corner stochastic equilibria, u* -> x*: full charge at zero price,
 #: empty charge at the price cap
@@ -30,11 +30,26 @@ class EquilibriumPoint:
     residual: float
 
 
-def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
-    """Unique equilibrium state for price ``u_star`` by interval halving.
+def _halve(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats ``lo < hi`` between which ``pred`` turns false, by interval halving.
 
-    Stops when the balance residual |f(x) + g(u*)| drops below 1e-12 or the
-    bracketing interval is shorter than 1e-14.
+    ``pred`` must hold at ``lo`` and fail at ``hi``; it is never called at
+    either end.  Halving stops when the midpoint rounds to an end point.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
+    """Unique equilibrium state for price ``u_star``.
+
+    A corner is the root if its residual |f(x) + g(u*)| is within 2 ``IDENTITY_TOL``,
+    the slack ``validate`` allows two identities; otherwise interval halving
+    returns the lower of the two adjacent floats where f + g changes sign.
     """
     u_star = check_unit("u_star", u_star)
     g = price_response(params, u_star)
@@ -42,26 +57,16 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
     def h(x: float) -> float:
         return charge_response(params, x) + g
 
-    lo, hi = 0.0, 1.0
-    h_lo, h_hi = h(lo), h(hi)
-    for x0, h0 in ((lo, h_lo), (hi, h_hi)):
-        if abs(h0) < 1e-12:
+    h_lo, h_hi = h(0.0), h(1.0)
+    for x0, h0 in ((0.0, h_lo), (1.0, h_hi)):
+        if abs(h0) <= 2.0 * IDENTITY_TOL:
             return EquilibriumPoint(x_star=x0, residual=abs(h0))
     if h_lo < 0.0 or h_hi > 0.0:
         raise ValueError(
             "equilibrium not bracketed on [0, 1]; f or g violates its range invariants"
         )
-    mid, h_mid = 0.5, h(0.5)
-    while hi - lo >= 1e-14:
-        mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-        if abs(h_mid) < 1e-12:
-            break
-        if h_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return EquilibriumPoint(x_star=mid, residual=abs(h_mid))
+    x_star, _ = _halve(lambda x: h(x) > 0.0, 0.0, 1.0)
+    return EquilibriumPoint(x_star=x_star, residual=abs(h(x_star)))
 
 
 def certify_deterministic(

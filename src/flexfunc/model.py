@@ -34,6 +34,8 @@ from .ispline import ISplineBasis
 
 _REFERENCE_ALPHA = (0.0, 0.25, 0.75, 0.0)
 _REFERENCE_BETA = tuple(-v / 16.0 for v in (6, 3, 1, 1, 2, 8, 11))
+#: slack ``validate`` allows each identity: alpha[1:] sums to 1, g0 = 1, g0 + sum(beta) = -1
+IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def validate(params: FlexParams) -> ValidationReport:
         rep.violations.append(f"alpha must have 4 entries, got {len(p.alpha)}")
     else:
         s = p.alpha[1] + p.alpha[2] + p.alpha[3]
-        if abs(s - 1.0) > 1e-9:
+        if abs(s - 1.0) > IDENTITY_TOL:
             rep.violations.append(f"alpha[1]+alpha[2]+alpha[3] must be 1, got {s!r}")
     if len(p.beta) != p.basis.basis_count:
         rep.violations.append(
@@ -238,9 +240,9 @@ def validate(params: FlexParams) -> ValidationReport:
         )
     if any(b > 0 for b in p.beta):
         rep.violations.append("all beta entries must be <= 0")
-    if abs(p.g0 - 1.0) > 1e-9:
+    if abs(p.g0 - 1.0) > IDENTITY_TOL:
         rep.violations.append(f"g0 must be 1, got {p.g0}")
-    if abs(p.g0 + sum(p.beta) + 1.0) > 1e-9:
+    if abs(p.g0 + sum(p.beta) + 1.0) > IDENTITY_TOL:
         rep.violations.append(
             f"g0 + sum(beta) must be -1 (so g(1) = -1), got {p.g0 + sum(p.beta)!r}"
         )

@@ -24,8 +24,8 @@ import warnings
 
 import numpy as np
 
-from .certificates import StabilityCertificate, check_grid_n, failed_degenerate, grid_certificate
-from .equilibria import CORNERS
+from .certificates import StabilityCertificate, check_grid_n, empty_certificate, grid_certificate
+from .equilibria import CORNERS, _halve
 from .model import FlexParams, charge_response, check_unit, drift, logistic_response, price_response
 
 #: largest sigma_x that max_stable_noise reports
@@ -46,15 +46,11 @@ def _corner_claim(params: FlexParams, u_star: float, B_star: float, grid_n: int)
     return _corner(u_star), float(B_star), min_drift_gain(params, B_star)
 
 
-def _lv(params: FlexParams, xs: np.ndarray, x_star: float, u_star: float, b: float):
-    drift_part = drift(params, xs, u_star, b) * (xs - x_star)
-    return drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
-
-
 def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
     """LV(x) for V = (x - x*)^2 / 2 at the corner equilibrium of u*."""
-    val = _lv(params, np.asarray(x, dtype=float), _corner(u_star), u_star,
-              check_unit("B_star", B_star))
+    xs = np.asarray(x, dtype=float)
+    drift_part = drift(params, xs, u_star, check_unit("B_star", B_star)) * (xs - _corner(u_star))
+    val = drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
     return float(val) if np.ndim(x) == 0 else val
 
 
@@ -79,7 +75,9 @@ def certify_bounded(
     """
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if eta1 == 0.0:
-        return failed_degenerate("stoch-bounded", params.params_hash(), x_star, np.inf)
+        return empty_certificate(
+            "stoch-bounded", params.params_hash(), x_star, np.inf, passed=False
+        )
     threshold = params.sigma_x**2 / (32.0 * eta1)
     g = price_response(params, u_star)
 
@@ -89,7 +87,7 @@ def certify_bounded(
 
     return grid_certificate(
         "stoch-bounded", params.params_hash(), x_star, grid_n,
-        lambda xs: _lv(params, xs, x_star, u_star, b), keep=damped, threshold=threshold,
+        lambda xs: lyapunov_rate(params, xs, u_star, b), keep=damped, threshold=threshold,
     )
 
 
@@ -118,14 +116,21 @@ def certify_stable(
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     r = stable_radius(params, b, theta)
     if eta1 == 0.0:
-        return failed_degenerate("stoch-stable", params.params_hash(), x_star, 0.0)
+        return empty_certificate(
+            "stoch-stable", params.params_hash(), x_star, 0.0, passed=False
+        )
     return grid_certificate(
         "stoch-stable", params.params_hash(), x_star, grid_n,
-        lambda xs: _lv(params, xs, x_star, u_star, b),
+        lambda xs: lyapunov_rate(params, xs, u_star, b),
         keep=lambda xs: np.abs(xs - x_star) <= r,
         threshold=r,
         region=(max(0.0, x_star - r), min(1.0, x_star + r)),
     )
+
+
+def radius_meets_target(radius: float, target_radius: float) -> bool:
+    """Whether a certified radius covers ``target_radius`` (to 1e-12)."""
+    return radius >= target_radius - 1e-12
 
 
 def max_stable_noise(
@@ -138,11 +143,11 @@ def max_stable_noise(
 ) -> float:
     """Largest sigma_x whose stability certificate covers ``target_radius``.
 
-    The radius formula alone caps sigma_x at sqrt(2 eta1 theta / target);
-    if the certificate also passes there, that bound is returned exactly
-    (target_radius = 1 gives sqrt(2 eta1 theta)).  Otherwise the pointwise
-    LV check binds and the boundary is found by interval halving.  A formula
-    bound beyond ``SIGMA_CAP`` is reported as the cap with a warning.
+    The radius formula alone caps sigma_x at sqrt(2 eta1 theta / target)
+    (sqrt(2 eta1 theta) at target 1).  That bound, capped at ``SIGMA_CAP``,
+    is probed once and returned if it passes, with a warning if it is the
+    cap.  Otherwise the pointwise LV check binds and interval halving from
+    0 returns the passing one of two adjacent floats at the boundary.
     """
     _, _, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:
@@ -154,26 +159,14 @@ def max_stable_noise(
 
     def passes(sigma: float) -> bool:
         cert = certify_stable(params.with_sigma(sigma), u_star, B_star, theta, grid_n)
-        return cert.passed and cert.threshold >= target_radius - 1e-12
+        return cert.passed and radius_meets_target(cert.threshold, target_radius)
 
-    sigma_formula = float(np.sqrt(2.0 * eta1 * theta / target_radius))
-    if sigma_formula >= SIGMA_CAP:
-        if passes(SIGMA_CAP):
-            warnings.warn(
-                f"sigma_max exceeds the search cap {SIGMA_CAP}; returning the cap",
-                stacklevel=2,
-            )
-            return SIGMA_CAP
-        sigma_formula = SIGMA_CAP
-    if passes(sigma_formula):
-        return sigma_formula
-    lo, hi = 0.0, sigma_formula
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(hi, 1.0):
-            break
-    return lo
+    sigma = min(float(np.sqrt(2.0 * eta1 * theta / target_radius)), SIGMA_CAP)
+    if not passes(sigma):
+        sigma, _ = _halve(passes, 0.0, sigma)
+    elif sigma == SIGMA_CAP:
+        warnings.warn(
+            f"sigma_max exceeds the search cap {SIGMA_CAP}; returning the cap",
+            stacklevel=2,
+        )
+    return sigma

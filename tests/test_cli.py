@@ -632,6 +632,23 @@ def test_certify_high_noise_fails_on_radius(tmp_path, capsys):
     assert doc["overall_pass"] is False
 
 
+@pytest.mark.parametrize(
+    "params,u_star",
+    [
+        # f(1) + g(0) = 5e-10 and f(0) + g(1) = -5e-10: each identity is off by less
+        # than validate's slack, so the corner is the equilibrium
+        (dict(REF_PARAMS, g0=1.0000000005, beta=[*REF_PARAMS["beta"][:-1], -0.6875000005]), 0.0),
+        (dict(REF_PARAMS, alpha=[0.0, 0.25, 0.7499999995, 0.0]), 1.0),
+    ],
+)
+def test_certify_accepts_what_validate_accepts_near_an_identity(tmp_path, params, u_star, capsys):
+    body = {"params": params, "certify": {"u_star": u_star, "B_star": 0.4, "grid_n": 101}}
+    cfg = cfg_file(tmp_path, body)
+    assert main(["validate", "--config", cfg]) == 0
+    assert "valid" in capsys.readouterr().out.splitlines()
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 def test_certify_interior_anchor_is_usage_error(tmp_path, capsys):
     body = {
         "params": REF_PARAMS,

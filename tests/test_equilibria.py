@@ -54,6 +54,21 @@ def test_unbracketed_equilibrium_refused():
         equilibria.solve_equilibrium(FlexParams(g0=3.0), 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=admissible_params(), u=st.floats(0.0, 1.0))
+def test_equilibrium_is_a_corner_or_a_sign_change_to_the_next_float(params, u):
+    eq = equilibria.solve_equilibrium(params, u)
+    g = model.price_response(params, u)
+
+    def h(x):
+        return model.charge_response(params, x) + g
+
+    assert eq.residual == abs(h(eq.x_star))
+    if eq.x_star in (0.0, 1.0) and eq.residual <= 2.0 * model.IDENTITY_TOL:
+        return
+    assert h(eq.x_star) > 0.0 >= h(np.nextafter(eq.x_star, 1.0))
+
+
 @settings(max_examples=50, deadline=None)
 @given(params=admissible_params(), B=st.floats(0.0, 1.0), sigma=st.floats(0.0, 2.0))
 def test_corners_are_stochastic_equilibria(params, B, sigma):

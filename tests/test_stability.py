@@ -150,7 +150,8 @@ def test_sigma_max_cap_warning(p):
 
 def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
     # f'(1) = 0: at u* = 0, B* = 0.4 the formula bound 0.36699 fails its LV
-    # check by 2.5e-5, so the interval halving runs (to ~0.034833).  Sound
+    # check by 2.5e-5, so interval halving from 0 narrows sigma_max (~0.034833)
+    # down to adjacent floats, never probing 0 or the bound again.  Sound
     # certificates (ROADMAP item 2) will move this value.
     q = FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0))
     probes = []
@@ -164,8 +165,9 @@ def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
     smax = stability.max_stable_noise(q, 0.0, 0.4)
     monkeypatch.undo()
     assert len(probes) > 1
+    assert all(0.0 < sigma < probes[0] for sigma in probes[1:])
     assert stability.certify_stable(q.with_sigma(smax), 0.0, 0.4).passed
-    assert not stability.certify_stable(q.with_sigma(smax + 2e-9), 0.0, 0.4).passed
+    assert not stability.certify_stable(q.with_sigma(np.nextafter(smax, np.inf)), 0.0, 0.4).passed
 
 
 def test_sigma_max_degenerate_error(p):
