@@ -114,9 +114,10 @@ def strong_convergence_study(
     and the error decay is a pure discretization effect.  Every dt must be
     an integer multiple of the finest dt dividing t_end in whole steps.
 
-    All paths advance together, one time block of fine increments at a
-    time; every step size takes its steps from the block into its own state
-    vector, and w(t_end) adds up the blocks' row sums.  A block is the
+    All paths advance together, one time-major (steps, n_paths) block of
+    fine increments at a time; every step size takes its steps from the
+    block's rows, summed in groups of its ratio, into its own state vector,
+    and w(t_end) adds up each block's rows.  A block is the
     largest multiple of lcm(dt / dt_fine) that fits in ``_CHUNK`` steps, or
     the lcm itself when that exceeds ``_CHUNK``, so each block holds whole
     coarse steps and memory is O(n_paths * max(_CHUNK, lcm)).
@@ -151,14 +152,14 @@ def strong_convergence_study(
     xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
     w_end = np.zeros(n_paths)
     for s0 in range(0, n_fine, block):
-        dw_fine = rng.fill_normals(streams, np.empty((n_paths, min(block, n_fine - s0))))
+        dw_fine = rng.fill_normals(streams, np.empty((min(block, n_fine - s0), n_paths)))
         dw_fine *= math.sqrt(dt_fine)
-        w_end += dw_fine.sum(axis=1)
+        w_end += dw_fine.sum(axis=0)
         for j, (dt, ratio) in enumerate(zip(dts, ratios)):
-            dw = dw_fine if ratio == 1 else dw_fine.reshape(n_paths, -1, ratio).sum(axis=2)
+            dw = dw_fine if ratio == 1 else dw_fine.reshape(-1, ratio, n_paths).sum(axis=1)
             x = xs[j]
-            for i in range(dw.shape[1]):
-                x = x + bp.r1 * x * dt + bp.r2 * x * dw[:, i]
+            for inc in dw:
+                x = x + bp.r1 * x * dt + bp.r2 * x * inc
             xs[j] = x
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 

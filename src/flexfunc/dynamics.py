@@ -218,12 +218,14 @@ def simulate_sde(
 
     Path ``p`` draws all its increments from the stream keyed by
     (master_seed, p).  All paths advance together, one block of at most
-    ``_CHUNK`` steps at a time: the block's noise is drawn into an
-    (n_paths, steps) state block and the steps overwrite it with their
-    pre-clamp states.  A non-finite state raises ``RuntimeError``; otherwise
-    the block's extremes update ``pre_clamp_min``/``max``, the block is
-    clamped, and its columns of the mean, variance and 5/50/95% quantiles
-    and of the first ``keep`` paths (all of them when None) are written out.
+    ``_CHUNK`` steps at a time: the block's noise is drawn into a
+    time-major (steps, n_paths) state block and each step overwrites its
+    row with the pre-clamp states.  A non-finite state raises
+    ``RuntimeError``; otherwise the block's extremes update
+    ``pre_clamp_min``/``max``, the block is clamped, the first ``keep``
+    paths (all of them when None) are copied out, the mean and variance
+    are taken along each row, and the rows are then sorted in place for
+    the 5/50/95% quantiles.
     The t = 0 column is x0 exactly, with variance 0.  Memory is
     O(n_paths * _CHUNK + keep * n_times).  The drift is
     ``model.deviation``, the kernel that also computes the ODE demand column.
@@ -248,16 +250,17 @@ def simulate_sde(
     lo, hi, n_steps = x0, x0, len(times) - 1
     for s0 in range(0, n_steps, _CHUNK):
         s1 = min(s0 + _CHUNK, n_steps)
-        # State columns s0 + 1 .. s1.  Each column holds its step's noise
-        # until the step overwrites it with the pre-clamp state.
-        block = np.empty((n_paths, s1 - s0))
+        # Row j is time s0 + 1 + j, one contiguous row of paths.  Each row
+        # holds its step's noise until the step overwrites it with the
+        # pre-clamp state.
+        block = np.empty((s1 - s0, n_paths))
         rng.fill_normals(streams, block)
         # an overflow leaves a non-finite state, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(range(s0, s1)):
                 dd = deviation(params, x, g_step[i], B_step[i])
-                x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * block[:, j]
-                block[:, j] = x
+                x = x + (dd / params.C) * dt + diffusion(params, x) * sqdt * block[j]
+                block[j] = x
                 np.clip(x, 0.0, 1.0, out=x)
         b_lo, b_hi = float(block.min()), float(block.max())
         if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
@@ -265,15 +268,11 @@ def simulate_sde(
         lo, hi = min(lo, b_lo), max(hi, b_hi)
         np.clip(block, 0.0, 1.0, out=block)
         cols = slice(s0 + 1, s1 + 1)
-        states[:, cols] = block[:keep]
-        mean[cols] = block.mean(axis=0)
-        var[cols] = block.var(axis=0)
-        # made after var's temporary is freed and dropped before the next
-        # block is allocated, so the sorted copy does not raise the peak
-        rows = block.T.copy()
-        rows.sort(axis=1)
-        q05[cols], q50[cols], q95[cols] = _quantiles(rows)
-        del rows
+        states[:, cols] = block[:, :keep].T
+        mean[cols] = block.mean(axis=1)
+        var[cols] = block.var(axis=1)
+        block.sort(axis=1)
+        q05[cols], q50[cols], q95[cols] = _quantiles(block)
     return Ensemble(
         times=times,
         states=states,

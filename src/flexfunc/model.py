@@ -160,7 +160,7 @@ def demand_deviation(params: FlexParams, delta, B):
     """
     d, scalar_d = _as_array(delta)
     b, scalar_b = _as_array(B)
-    val = np.where(d >= 0.0, d * params.lam * (1.0 - b), d * params.lam * b)
+    val = (d * params.lam) * np.where(d >= 0.0, 1.0 - b, b)
     return float(val) if scalar_d and scalar_b else val
 
 

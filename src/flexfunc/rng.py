@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+_TILE = 64  # paths per scratch tile of fill_normals
 
 
 def check_seed(seed: int) -> int:
@@ -29,21 +30,33 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def fill_normals(streams, out: np.ndarray) -> np.ndarray:
-    """Fill row ``r`` of ``out`` with the next standard normal draws of ``streams[r]``.
+    """Fill column ``p`` of ``out`` with the next standard normal draws of ``streams[p]``.
 
-    Each row is written in place by ``Generator.standard_normal(out=row)``,
-    so no temporary of the block's size is made.
+    ``out`` is time-major, (steps, paths), so a time step's draws lie in one
+    contiguous row.  Each tile of ``_TILE`` paths draws into a (``_TILE``,
+    steps) scratch array, one contiguous row per path written in place by
+    ``Generator.standard_normal(out=row)``, and the tile is copied
+    transposed into ``out``; no temporary of the block's size is made.
     """
-    for row, stream in zip(out, streams):
-        stream.standard_normal(out=row)
+    tile = np.empty((_TILE, out.shape[0]))
+    for p0 in range(0, len(streams), _TILE):
+        group = streams[p0 : p0 + _TILE]
+        for row, stream in zip(tile, group):
+            stream.standard_normal(out=row)
+        out[:, p0 : p0 + len(group)] = tile[: len(group)].T
     return out
 
 
 def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:
     """``n`` standard normal draws from the stream of one path."""
-    return fill_normals([path_stream(master_seed, path_index)], np.empty((1, n)))[0]
+    return path_stream(master_seed, path_index).standard_normal(n)
 
 
 def normals(master_seed: int, paths, n: int) -> np.ndarray:
-    """``n`` standard normal draws per path index of ``paths``, one row per path."""
-    return fill_normals([path_stream(master_seed, p) for p in paths], np.empty((len(paths), n)))
+    """``n`` standard normal draws per path index of ``paths``, one row per path.
+
+    The draws are made time-major by ``fill_normals``; the result is the
+    transposed view, (len(paths), n), of that (n, len(paths)) array.
+    """
+    streams = [path_stream(master_seed, p) for p in paths]
+    return fill_normals(streams, np.empty((n, len(streams)))).T

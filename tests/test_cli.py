@@ -188,7 +188,8 @@ def test_simulate_sde_files_are_full_state_statistics(tmp_path):
         FlexParams.from_dict(REF_PARAMS), 0.3, Schedule.constant(0.5, 0.4), 200, 21, dt=0.01, t_end=3.0
     )
     x = full.states
-    stats = np.array([x.mean(axis=0), x.var(axis=0), *np.quantile(x, [0.05, 0.50, 0.95], axis=0)])
+    rows = x.T.copy()  # one contiguous row of paths per time, summed as the ensemble sums it
+    stats = np.array([rows.mean(axis=1), rows.var(axis=1), *np.quantile(x, [0.05, 0.50, 0.95], axis=0)])
     stats[:, 0] = (0.3, 0.0, 0.3, 0.3, 0.3)  # t = 0 is x0 exactly
     write_csv(tmp_path / "oracle.csv", "t,mean,var,q05,q50,q95", (full.times, *stats))
     assert (tmp_path / "cli" / "ens_summary.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -299,7 +299,7 @@ def test_path_normals_contract():
 def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     whole = rng.path_normals(seed, path, 2000)
     stream = rng.path_stream(seed, path)
-    parts = [rng.fill_normals([stream], np.empty((1, n)))[0] for n in (64, 64, 1000, 872)]
+    parts = [rng.fill_normals([stream], np.empty((n, 1)))[:, 0] for n in (64, 64, 1000, 872)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
     # the draws are numpy's standard normals on the Philox stream of the same key
@@ -314,7 +314,7 @@ def test_extreme_raw_draws_give_finite_normals():
         state["buffer"] = np.full(4, raw, dtype=np.uint64)
         state["buffer_pos"] = 0  # the next four raw draws come from the buffer
         stream.bit_generator.state = state
-        return rng.fill_normals([stream], np.empty((1, 6)))[0]
+        return rng.fill_normals([stream], np.empty((6, 1)))[:, 0]
 
     assert np.isfinite(drawn_after(2**64 - 1)).all()
     z = drawn_after(0)

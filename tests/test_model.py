@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flexfunc import equilibria, model
 from flexfunc.model import FlexParams, reference_params
@@ -52,6 +53,31 @@ def test_demand_stays_admissible(p):
     up = delta >= 0
     assert np.allclose(dev[up], delta[up] * p.lam * (1 - B[up]))
     assert np.allclose(dev[~up], delta[~up] * p.lam * B[~up])
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def _deviation_inputs(draw):
+    """delta and B over every float (signed zeros, subnormals, NaN, inf); B scalar or an array."""
+    delta = draw(arrays(np.float64, st.integers(1, 16), elements=_any_float))
+    B = draw(st.one_of(_any_float, arrays(np.float64, delta.shape, elements=_any_float)))
+    return delta, B
+
+
+@settings(max_examples=300)
+@given(_deviation_inputs(), st.sampled_from([1.0, 0.3, 0.78]))
+def test_demand_deviation_is_the_two_branch_formula_bit_for_bit(inputs, lam):
+    delta, B = inputs
+    p = FlexParams(lam=lam)
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are NaN, as in both forms
+        two_branch = np.where(delta >= 0.0, delta * lam * (1.0 - B), delta * lam * B)
+        assert np.asarray(model.demand_deviation(p, delta, B)).tobytes() == two_branch.tobytes()
+        b0 = B if np.ndim(B) == 0 else B[0]
+        scalar = model.demand_deviation(p, float(delta[0]), float(b0))
+    assert isinstance(scalar, float)
+    assert np.float64(scalar).tobytes() == two_branch[0].tobytes()
 
 
 def test_drift_bounded_and_diffusion_vanishes(p):
