@@ -1,14 +1,14 @@
-"""Grid-checked stability certificates: the one sampling policy and its result.
+"""Stability certificates: the result type and the one grid sampling policy.
 
-Every certificate checks a Lyapunov-type rate on the same sample: a uniform
-grid of ``grid_n`` >= ``MIN_GRID_N`` points on [0, 1], minus the ball of radius
-``EXCLUSION_RADIUS`` around x* (where every rate vanishes), minus whatever
-the claim's ``keep`` predicate drops.  :func:`grid_certificate` owns that
-sample and the margin, pass and failure-interval packaging; the certifiers
-in ``equilibria`` and ``stability`` only supply x*, the rate and the
-predicate.  :func:`empty_certificate` builds every certificate that checks
-no point: the vacuous pass on an empty sample and the failed claim with
-nothing to check.
+The stochastic certificates check a Lyapunov rate on the same sample: a
+uniform grid of ``grid_n`` >= ``MIN_GRID_N`` points on [0, 1], minus the ball
+of radius ``EXCLUSION_RADIUS`` around x* (where every rate vanishes), minus
+whatever the claim's ``keep`` predicate drops.  :func:`grid_certificate` owns
+that sample and the margin, pass and failure-interval packaging; the
+certifiers in ``stability`` only supply x*, the rate and the predicate.  The
+deterministic claim samples nothing (see ``equilibria.certify_deterministic``).
+:func:`empty_certificate` builds every certificate that checks no point: the
+vacuous pass on an empty region and the failed claim with nothing to check.
 """
 
 from __future__ import annotations
@@ -23,25 +23,18 @@ EXCLUSION_RADIUS = 1e-6
 MIN_GRID_N = 100
 
 
-def check_grid_n(grid_n: int) -> None:
-    """Refuse a certificate grid of fewer than ``MIN_GRID_N`` points."""
-    if grid_n < MIN_GRID_N:
-        raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Result of a grid check of a Lyapunov-type inequality.
+    """Result of a check of a Lyapunov-type inequality.
 
     ``claim`` is one of ``det-asymptotic`` (deterministic asymptotic
     stability), ``stoch-bounded`` (stochastic boundedness outside a noise
     ball) or ``stoch-stable`` (stochastic stability inside a radius).
     ``margin`` is the worst (largest) value of the checked quantity over the
-    sampled region, so the certificate passes iff margin <= 0 (margin < 0
-    for ``det-asymptotic``).  ``region`` is the sampled x-interval.
-    ``degenerate`` marks a vacuous pass on an empty sampled region, or a
-    failed claim that has nothing to check.  ``failures`` lists x-intervals
-    where the inequality failed, empty when the certificate passes.
+    x-interval ``region`` (for ``det-asymptotic``, max df/dx on [0, 1]), so
+    it passes iff margin <= 0.  ``degenerate`` marks a vacuous pass on an
+    empty region, or a failed claim that has nothing to check.  ``failures``
+    lists x-intervals where the inequality failed, empty when it passes.
     """
 
     claim: str
@@ -78,23 +71,21 @@ def grid_certificate(
     x_star: float,
     grid_n: int,
     rate,
-    keep=None,
-    threshold: float = 0.0,
+    keep,
+    threshold: float,
     region: tuple[float, float] | None = None,
-    strict: bool = False,
 ) -> StabilityCertificate:
-    """Check ``rate(xs) <= 0`` (``< 0`` if ``strict``) on the certificate grid.
+    """Check ``rate(xs) <= 0`` on the certificate grid.
 
     The sample is the ``grid_n``-point uniform grid on [0, 1] outside the
-    exclusion ball around ``x_star``, narrowed by ``keep(xs)`` (a boolean
-    mask) when given.  An empty sample passes vacuously and is flagged
+    exclusion ball around ``x_star``, narrowed by the boolean mask
+    ``keep(xs)``.  An empty sample passes vacuously and is flagged
     degenerate.  ``region`` defaults to the span of the sample;
     ``threshold`` is reported as given.
     """
     xs = np.linspace(0.0, 1.0, grid_n)
     xs = xs[np.abs(xs - x_star) > EXCLUSION_RADIUS]
-    if keep is not None:
-        xs = xs[keep(xs)]
+    xs = xs[keep(xs)]
     if xs.size == 0:
         return empty_certificate(claim, params_hash, x_star, threshold, passed=True)
     values = rate(xs)
@@ -105,8 +96,8 @@ def grid_certificate(
         region=(float(xs[0]), float(xs[-1])) if region is None else region,
         threshold=threshold,
         margin=margin,
-        passed=bool(margin < 0.0 if strict else margin <= 0.0),
-        failures=failure_intervals(xs, values >= 0.0 if strict else values > 0.0),
+        passed=margin <= 0.0,
+        failures=failure_intervals(xs, values > 0.0),
     )
 
 

@@ -352,7 +352,8 @@ def _read_config(args) -> dict:
     for where, key, value in flags:
         if value is not None and isinstance(where, dict):
             if key in where and where[key] != value:
-                print(f"flag --{key}={value} overrides config {key}={where[key]}", file=sys.stderr)
+                flag = key.replace("_", "-")
+                print(f"flag --{flag}={value} overrides config {key}={where[key]}", file=sys.stderr)
             where[key] = value
     return _CONFIG(cfg, "")
 
@@ -460,7 +461,7 @@ def cmd_certify(cfg: dict, out: str) -> int:
     target_radius, grid_n = block["target_radius"], block["grid_n"]
 
     certs = [
-        certify_deterministic(params, u_star, B_star, grid_n=grid_n),
+        certify_deterministic(params, u_star, B_star),
         certify_bounded(params, u_star, B_star, grid_n=grid_n),
         certify_stable(params, u_star, B_star, theta=theta, grid_n=grid_n),
     ]

@@ -1,11 +1,11 @@
 """Demand equilibria of the flexibility function and their certification.
 
 For a constant price ``u*`` the deterministic equilibria are the states
-with f(x*) = -g(u*); since f is strictly decreasing the root is unique,
-and halving the interval [0, 1] always keeps it bracketed, because
-f(0) + g = 1 + g >= 0 >= -1 + g = f(1) + g for g in [-1, 1].  With
-multiplicative noise x(1-x) sigma_x the only states where drift and
-diffusion vanish together are the corners (x, u) = (1, 0) and (0, 1).
+with f(x*) = -g(u*); since f is strictly decreasing (max df/dx <= 0) the
+root is unique, and that same max certifies it with no grid.  Halving [0, 1]
+keeps the root bracketed: f(0) + g = 1 + g >= 0 >= -1 + g = f(1) + g for g
+in [-1, 1].  With multiplicative noise x(1-x) sigma_x the only states where
+drift and diffusion vanish together are the corners (x, u) = (1, 0), (0, 1).
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import StabilityCertificate, check_grid_n, grid_certificate
-from .model import IDENTITY_TOL, FlexParams, charge_response, check_unit, drift, price_response
+from .certificates import StabilityCertificate, empty_certificate
+from .model import (
+    IDENTITY_TOL, FlexParams, charge_response, charge_rise_intervals, charge_slope_max, check_unit,
+    price_response,
+)
 
 #: the corner stochastic equilibria, u* -> x*: full charge at zero price,
 #: empty charge at the price cap
@@ -69,29 +72,25 @@ def solve_equilibrium(params: FlexParams, u_star: float) -> EquilibriumPoint:
     return EquilibriumPoint(x_star=x_star, residual=abs(h(x_star)))
 
 
-def certify_deterministic(
-    params: FlexParams,
-    u_star: float,
-    B_star: float,
-    grid_n: int = 2001,
-) -> StabilityCertificate:
-    """Grid check of asymptotic stability of x* for constant (u*, B*).
+def certify_deterministic(params: FlexParams, u_star: float, B_star: float) -> StabilityCertificate:
+    """Asymptotic stability of x* for constant (u*, B*), by the demand-change sign law.
 
-    Evaluates dV/dt = drift(x) * (x - x*) for V = (x - x*)^2 / 2 on the
-    certificate grid (see :func:`grid_certificate`) and requires it negative
-    everywhere.  At the baseline endpoints only the demand branch that can
-    actually occur is sampled (B* = 0 admits only rising demand, so only
-    x < x* is meaningful; B* = 1 only x > x*); an empty sampled region
-    (e.g. u* = 0 with B* = 1) passes vacuously and is flagged degenerate.
+    If f strictly decreases, f(x) + g(u*) has the sign of x* - x; tanh is odd
+    and increasing, so wherever the slack on that side is positive the drift
+    points toward x* and V = (x - x*)^2 / 2 strictly decreases.  ``margin`` is
+    max df/dx on [0, 1] and the claim passes iff margin <= 0; ``failures`` are
+    the x-intervals where df/dx > 0.  ``region`` is [0, 1], narrowed to [0, x*]
+    at B* = 0 (no slack for falling demand) and to [x*, 1] at B* = 1; a
+    zero-width region (u* = 0 with B* = 1) passes vacuously, flagged degenerate.
     """
-    check_grid_n(grid_n)
     B_star = check_unit("B_star", B_star)
     x_star = solve_equilibrium(params, u_star).x_star
-    side = {0.0: np.less, 1.0: np.greater}.get(B_star)
-
-    return grid_certificate(
-        "det-asymptotic", params.params_hash(), x_star, grid_n,
-        lambda xs: drift(params, xs, u_star, B_star) * (xs - x_star),
-        keep=None if side is None else lambda xs: side(xs, x_star),
-        strict=True,
+    region = (x_star if B_star == 1.0 else 0.0, x_star if B_star == 0.0 else 1.0)
+    if region[0] == region[1]:
+        return empty_certificate("det-asymptotic", params.params_hash(), x_star, 0.0, passed=True)
+    margin = charge_slope_max(params)
+    failures = charge_rise_intervals(params) if 0.0 < margin < np.inf else ()
+    return StabilityCertificate(
+        "det-asymptotic", params.params_hash(), region, threshold=0.0, margin=margin,
+        passed=margin <= 0.0, failures=failures,
     )

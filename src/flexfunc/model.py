@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .certificates import failure_intervals
 from .ispline import ISplineBasis
 
 _REFERENCE_ALPHA = (0.0, 0.25, 0.75, 0.0)
@@ -125,6 +126,38 @@ def charge_response(params: FlexParams, x):
     y2 = y * y
     val = (-y + a1 * (1.0 - y2)) * (a2 + a3 * y2 + a4 * y2 * y2 * y2)
     return float(val) if scalar else val
+
+
+def _charge_slope(alpha) -> np.ndarray:
+    """df/dx as coefficients in y = 2x - 1, highest degree (<= 7) first."""
+    a1, a2, a3, a4 = alpha
+    return 2.0 * np.polyder(np.polymul([-a1, -1.0, a1], [a4, 0.0, 0.0, 0.0, a3, 0.0, a2]))
+
+
+def _unit_roots(c) -> np.ndarray:
+    """-1, 1 and the real part of each root of ``c`` in [-1, 1]: no cut-off loses a double root.
+
+    Leading terms below eps times the largest go first: they would overflow the companion matrix."""
+    r = np.roots(c[np.argmax(np.abs(c) > np.finfo(float).eps * np.max(np.abs(c))):]).real
+    return np.concatenate(([-1.0, 1.0], r[np.abs(r) <= 1.0]))
+
+
+def charge_slope_max(params: FlexParams) -> float:
+    """Maximum of df/dx on [0, 1], taken at y = +-1 and the roots of d2f/dx2; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = _charge_slope(params.alpha)
+        d2 = np.polyder(d1)
+        finite = np.isfinite(d1).all() and np.isfinite(d2).all()
+        return float(np.max(np.polyval(d1, _unit_roots(d2)))) if finite else np.inf
+
+
+def charge_rise_intervals(params: FlexParams) -> tuple[tuple[float, float], ...]:
+    """The x-intervals where df/dx > 0 (finite coefficients): it keeps one sign between roots."""
+    d1 = _charge_slope(params.alpha)
+    xs = 0.5 * np.unique(_unit_roots(d1)) + 0.5
+    rising = np.polyval(d1, xs[:-1] + xs[1:] - 1.0) > 0.0  # each piece's sign at its midpoint
+    # each piece as its two ends, so failure_intervals merges runs of rising pieces
+    return failure_intervals(np.column_stack((xs[:-1], xs[1:])).ravel(), rising.repeat(2))
 
 
 def price_response(params: FlexParams, u):
@@ -246,12 +279,10 @@ def validate(params: FlexParams) -> ValidationReport:
         rep.violations.append(
             f"g0 + sum(beta) must be -1 (so g(1) = -1), got {p.g0 + sum(p.beta)!r}"
         )
-    # grid-based monotonicity of f; skipped if structural sizes are already wrong.
-    # f(0) = -f(1) = (a2 + a3) + a4 in floats too, which the alpha sum holds to 1.
-    # g needs no grid: with every beta finite and <= 0 its spline coefficients
-    # g0 + [0, cumsum(beta)] are nonincreasing, and so is the spline.
-    if not rep.violations:
-        fv = charge_response(p, np.linspace(0.0, 1.0, 1001))
-        if np.any(np.diff(fv) >= 0.0):
-            rep.violations.append("f must be strictly decreasing on [0, 1]")
+    # Exact monotonicity, once the structure is right: max df/dx <= 0 leaves f strictly
+    # decreasing (a nonzero polynomial's zeros are isolated); f(0) = -f(1) = (a2 + a3) + a4
+    # in floats too.  g needs no check: with every beta finite and <= 0 its spline
+    # coefficients g0 + [0, cumsum(beta)] are nonincreasing, and so is the spline.
+    if not rep.violations and not (top := charge_slope_max(p)) <= 0.0:
+        rep.violations.append(f"f must be strictly decreasing on [0, 1], but max df/dx = {top!r}")
     return rep

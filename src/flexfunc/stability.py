@@ -5,14 +5,14 @@ quadratic Lyapunov function V = (x - x*)^2 / 2:
 
     LV(x) = (1/C) dD(x, u*, B*) (x - x*) + 0.5 x^2 (1 - x)^2 sigma_x^2.
 
-The drift part is damping (the demand-change sign law), the diffusion part
-is destabilizing but bounded by sigma_x^2 / 32.  With the worst-case drift
-gain eta1 = (lambda / C) min(B*, 1 - B*), LV <= 0 is guaranteed wherever
-|ell(f(x) + g(u*))| |x - x*| exceeds sigma_x^2 / (32 eta1) (boundedness
-outside a noise ball) and, for sigma_x^2 <= 2 eta1 theta, on the whole ball
-|x - x*| <= min(1, 2 eta1 theta / sigma_x^2) (stability).  The certificates
-verify these inequalities pointwise on a fine grid rather than trusting
-the derivation.
+The drift part is damping (the demand-change sign law, exact when max df/dx
+<= 0), the diffusion part is destabilizing but bounded by sigma_x^2 / 32.
+With the worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*), LV <= 0
+is guaranteed wherever |ell(f(x) + g(u*))| |x - x*| exceeds
+sigma_x^2 / (32 eta1) (boundedness outside a noise ball) and, for
+sigma_x^2 <= 2 eta1 theta, on the whole ball |x - x*| <= min(1, 2 eta1 theta
+/ sigma_x^2) (stability).  These certificates check the inequalities at the
+points of a fine grid, not between them: a check, not a proof.
 
 Only the corner states (x*, u*) in {(1, 0), (0, 1)} qualify: these are the
 points where drift and diffusion vanish together.
@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .certificates import StabilityCertificate, check_grid_n, empty_certificate, grid_certificate
+from .certificates import MIN_GRID_N, StabilityCertificate, empty_certificate, grid_certificate
 from .equilibria import CORNERS, _halve
 from .model import FlexParams, charge_response, check_unit, drift, logistic_response, price_response
 
@@ -42,7 +42,8 @@ def _corner(u_star: float) -> float:
 
 def _corner_claim(params: FlexParams, u_star: float, B_star: float, grid_n: int):
     """(x*, B*, eta1) of a corner certificate: the one check of its grid_n, u* and B*."""
-    check_grid_n(grid_n)
+    if grid_n < MIN_GRID_N:
+        raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
     return _corner(u_star), float(B_star), min_drift_gain(params, B_star)
 
 

@@ -80,7 +80,7 @@ def test_02_deterministic_convergence_and_certificate_grid():
         failures = []
         for u in np.linspace(0.0, 1.0, 11):
             for b in np.linspace(0.0, 1.0, 11):
-                cert = certify_deterministic(p, float(u), float(b), grid_n=201)
+                cert = certify_deterministic(p, float(u), float(b))
                 if not cert.passed:
                     failures.append((round(float(u), 10), round(float(b), 10)))
         assert not failures, f"deterministic certificate failed at (u*, B*): {failures}"

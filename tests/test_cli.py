@@ -234,6 +234,12 @@ def test_mode_flag_overrides_config(tmp_path, capsys):
     assert "overrides" in capsys.readouterr().err
     assert (tmp_path / "ovr.csv").exists()
     assert not (tmp_path / "ovr_summary.csv").exists()
+    # the message names the flag as it is typed, not as the config key
+    body = {"params": REF_PARAMS, "sweep": {"u_values": [0.5], "B_values": [0.4], "n_cells": 16,
+                                            "eigen_mode": "slowest"}}
+    cfg = cfg_file(tmp_path, body, "sweep.json")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--eigen-mode", "fastest"]) == 0
+    assert "flag --eigen-mode=fastest overrides config eigen_mode=slowest" in capsys.readouterr().err
 
 
 def test_simulate_invalid_params_exit1(tmp_path, capsys):
@@ -249,6 +255,28 @@ def test_simulate_invalid_params_exit1(tmp_path, capsys):
     cfg = cfg_file(tmp_path, body)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+# f rises on an end interval narrower than a 1001-point grid step (see test_model)
+NON_MONOTONE_PARAMS = dict(REF_PARAMS, alpha=[-1.07243, 0.19973, 0.91510, -0.11483])
+
+
+def test_validate_refuses_f_rising_between_grid_points(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, {"params": NON_MONOTONE_PARAMS})
+    assert main(["validate", "--config", cfg]) == 1
+    assert "f must be strictly decreasing" in capsys.readouterr().out
+
+
+def test_simulate_refuses_f_rising_between_grid_points(tmp_path, capsys):
+    body = {
+        "params": NON_MONOTONE_PARAMS,
+        "simulate": {"mode": "ode", "x0": 0.9999, "schedule": {"u": 0.0, "B": 0.4}, "t_end": 1.0},
+    }
+    cfg = cfg_file(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "decreasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_density_full_outputs(tmp_path):

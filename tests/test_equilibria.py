@@ -89,6 +89,27 @@ def test_certificate_passes_reference(p):
     assert 0.0 <= lo < hi <= 1.0
 
 
+def test_certificate_margin_is_the_slope_max(p):
+    # df/dx = -0.5 - 4.5 (2x - 1)^2 for the reference alpha; B* inside (0, 1) keeps all of [0, 1]
+    cert = equilibria.certify_deterministic(p, 0.0, 0.4)
+    assert cert.margin == -0.5
+    assert cert.region == (0.0, 1.0)
+    assert cert.threshold == 0.0
+
+
+@pytest.mark.parametrize("u_star,B_star", [(0.0, 0.4), (0.5, 0.4), (0.0, 0.0), (1.0, 1.0)])
+def test_certificate_fails_where_f_rises_between_grid_points(u_star, B_star):
+    # f rises on (0.99971, 1]: a 2001-point grid caught this only by where its points fell
+    p = FlexParams(alpha=(-1.07243, 0.19973, 0.91510, -0.11483))
+    cert = equilibria.certify_deterministic(p, u_star, B_star)
+    assert not cert.passed and not cert.degenerate
+    assert cert.margin > 0.0
+    assert len(cert.failures) == 1
+    lo, hi = cert.failures[0]
+    assert 0.999 < lo < hi == 1.0
+    assert model.charge_slope_max(p) == cert.margin
+
+
 def test_certificate_corner_branches(p):
     # B* at the corners restricts the grid to the formula-consistent side
     c0 = equilibria.certify_deterministic(p, 0.0, 0.0)  # x* = 1, B* = 0
@@ -103,13 +124,8 @@ def test_certificate_degenerate_vacuous(p):
     assert cert.margin == -np.inf
 
 
-def test_certificate_grid_small_rejected(p):
-    with pytest.raises(ValueError):
-        equilibria.certify_deterministic(p, 0.5, 0.4, grid_n=50)
-
-
 def test_certificate_excludes_ball(p):
-    cert = equilibria.certify_deterministic(p, 0.2, 0.4, grid_n=4001)
+    cert = equilibria.certify_deterministic(p, 0.2, 0.4)
     x_star = equilibria.solve_equilibrium(p, 0.2).x_star
     assert cert.passed
     # the sampled region brackets x* but the margin stays strictly negative

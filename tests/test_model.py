@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +178,125 @@ def test_params_hash_sensitivity(p):
     assert p.params_hash() == reference_params().params_hash()
     assert p.params_hash() != p.with_sigma(0.2).params_hash()
     assert len(p.params_hash()) == 16
+
+
+# f dips below -1 just before x = 1: df/dx > 0 on an end interval narrower than
+# a 1001-point grid step, so a sampled monotonicity check accepts it
+NON_MONOTONE_ALPHA = (-1.07243, 0.19973, 0.91510, -0.11483)
+
+
+def _primitive(p):
+    """A positive multiple of the rational polynomial p with coprime integer coefficients."""
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def _sign_at(p, t):
+    """Sign of the integer polynomial p (lowest degree first) at the rational t."""
+    value, power = 0, 1
+    for c in reversed(p):  # d^deg p(n / d), all in integers
+        value, power = value * t.numerator + c * power, power * t.denominator
+    return (value > 0) - (value < 0)
+
+
+def _rem(a, b):
+    """Remainder of a divided by b, for coefficient lists with lowest degree first."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b) and any(a):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a.pop()
+    return _primitive(a or [0])
+
+
+def _exact_max_sign(alpha):
+    """Sign (1, 0 or -1) of max df/dx on [0, 1], in exact rational arithmetic.
+
+    df/dx = 2 p'(y) for y = 2x - 1.  Roots of p' at y = +-1 are divided out
+    (each (y - 1) flips the sign on (-1, 1)); the rest is split into pieces
+    holding at most one distinct root, counted by a Sturm sequence at non-root
+    points, and on such a piece p' has the signs of the piece's two ends.
+    """
+    a1, a2, a3, a4 = (Fraction(a) for a in alpha)
+    left, right = [a1, -1, -a1], [a2, 0, a3, 0, 0, 0, a4]
+    p = [sum(left[k] * right[n - k] for k in range(3) if 0 <= n - k < 7) for n in range(9)]
+    q = _primitive([n * c for n, c in enumerate(p)][1:])
+    if not any(q):
+        return 0
+    best, flip = -1, 1
+    for end in (-1, 1):
+        while _sign_at(q, Fraction(end)) == 0:  # divide out (y - end) synthetically
+            carry, quotient = 0, []
+            for c in reversed(q[1:]):
+                carry = carry * end + c
+                quotient.append(carry)
+            q, best, flip = quotient[::-1], 0, -flip * end  # y - 1 < 0 < y + 1 inside
+    chain = [q]
+    if len(q) > 1:
+        chain.append([n * c for n, c in enumerate(q)][1:])
+        while len(chain[-1]) > 1 and any(r := _rem(chain[-2], chain[-1])):
+            chain.append([-c for c in r])
+
+    def variations(t):
+        signs = [s for s in (_sign_at(c, t) for c in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    pieces = [(Fraction(-1), Fraction(1))]
+    while pieces:
+        lo, hi = pieces.pop()
+        roots = variations(lo) - variations(hi)
+        if roots <= 1:  # p' has the sign of each end up to the one root, where it is 0
+            best = max(best, flip * _sign_at(q, lo), flip * _sign_at(q, hi), 0 if roots else -1)
+            continue
+        mid, step = (lo + hi) / 2, (hi - lo) / 4
+        while _sign_at(q, mid) == 0:  # finitely many roots, so this stops inside (lo, hi)
+            mid, step = mid + step, step / 2
+        pieces += [(lo, mid), (mid, hi)]
+    return best
+
+
+def test_slope_max_of_known_shapes():
+    # reference: df/dx = -0.5 - 4.5 (2x - 1)^2, largest at x = 1/2
+    assert model.charge_slope_max(reference_params()) == -0.5
+    # df/dx = 2 (2x - 1) - 2 touches zero at x = 1 only: f still strictly decreases
+    touching = FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0))
+    assert model.charge_slope_max(touching) == 0.0
+    assert model.validate(touching).ok
+    assert _exact_max_sign(touching.alpha) == 0
+    bump = model.charge_slope_max(FlexParams(alpha=NON_MONOTONE_ALPHA))
+    assert bump == pytest.approx(0.00728, rel=1e-3)
+    assert _exact_max_sign(NON_MONOTONE_ALPHA) == 1
+
+
+def test_validate_refuses_a_rise_between_grid_points():
+    rep = model.validate(FlexParams(alpha=NON_MONOTONE_ALPHA))
+    assert not rep.ok
+    assert any("decreasing" in v for v in rep.violations), rep.violations
+
+
+@pytest.mark.parametrize(
+    "alpha,top", [((0.0, 0.5, 0.5, 5e-324), -1.0), ((1e200, 1e200, -1e200, 1.0), np.inf)]
+)
+def test_slope_max_survives_extreme_alpha(alpha, top):
+    # a subnormal leading coefficient and an overflowing product: a number, with no
+    # LinAlgError from the companion matrix and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.charge_slope_max(FlexParams(alpha=alpha)) == top
+
+
+@settings(max_examples=200, deadline=None)
+@given(a1=st.floats(-1.5, 1.5), a2=st.floats(-3.0, 3.0), a3=st.floats(-3.0, 3.0))
+def test_slope_max_sign_matches_sturm_oracle(a1, a2, a3):
+    alpha = (a1, a2, a3, 1.0 - a2 - a3)
+    top = model.charge_slope_max(FlexParams(alpha=alpha))
+    exact = _exact_max_sign(alpha)
+    # floats cannot decide a maximum within rounding of zero; elsewhere the signs agree
+    if abs(top) > 1e-12:
+        assert (top > 0.0) - (top < 0.0) == exact, (alpha, top, exact)
+    assert model.validate(FlexParams(alpha=alpha)).ok == (top <= 0.0)
