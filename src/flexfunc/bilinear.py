@@ -109,10 +109,11 @@ def strong_convergence_study(
     """Strong error of Euler-Maruyama at t_end for each step size in dts.
 
     All step sizes share the same Brownian paths: increments are drawn once
-    at the finest resolution with per-path counter-based streams and summed
-    in groups for the coarser grids, so the exact terminal value is common
-    and the error decay is a pure discretization effect.  Every dt must be
-    an integer multiple of the finest dt dividing t_end in whole steps.
+    at the finest resolution with counter-based streams, one per tile of 64
+    paths (see ``rng``), and summed in groups for the coarser grids, so the
+    exact terminal value is common and the error decay is a pure
+    discretization effect.  Every dt must be an integer multiple of the
+    finest dt dividing t_end in whole steps.
 
     All paths advance together, one time-major (steps, n_paths) block of
     fine increments at a time; every step size takes its steps from the
@@ -148,7 +149,7 @@ def strong_convergence_study(
 
     every_ratio = math.lcm(*ratios)
     block = every_ratio * max(1, _CHUNK // every_ratio)
-    streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
+    streams = rng.tile_streams(master_seed, n_paths)
     xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
     w_end = np.zeros(n_paths)
     for s0 in range(0, n_fine, block):

@@ -406,6 +406,7 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     for i, path in enumerate(ens.states, start=1):
         Trajectory(ens.times, path).to_csv(out / f"{stem}_path{i:02d}.csv")
     print(f"wrote ensemble summary and {len(ens.states)} sample path(s) to {out}")
+    print(f"pre-clamp state range: min={ens.pre_clamp_min!r} max={ens.pre_clamp_max!r}")
     return EXIT_OK
 
 

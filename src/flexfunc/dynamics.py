@@ -1,11 +1,11 @@
 """Time integration of the flexibility-function dynamics.
 
 Deterministic runs use a classical fourth-order one-step method on the
-drift; stochastic runs use Euler-Maruyama with per-path counter-based
-noise streams.  Both clamp the state to [0, 1] after every step, which is
-harmless because the drift points inward at the boundaries and the
-diffusion vanishes there.  Price and baseline inputs are piecewise-constant
-schedules.
+drift; stochastic runs use Euler-Maruyama with counter-based noise
+streams, one per tile of 64 paths.  Both clamp the state to [0, 1] after
+every step, which is harmless because the drift points inward at the
+boundaries and the diffusion vanishes there.  Price and baseline inputs are
+piecewise-constant schedules.
 
 Defaults scale with the capacity: dt = 0.01 C and t_end = 20 C.
 """
@@ -214,11 +214,12 @@ def simulate_sde(
     t_end: float | None = None,
     keep: int | None = None,
 ) -> Ensemble:
-    """Euler-Maruyama ensemble with per-path Philox streams.
+    """Euler-Maruyama ensemble with one Philox stream per tile of 64 paths.
 
-    Path ``p`` draws all its increments from the stream keyed by
-    (master_seed, p).  All paths advance together, one block of at most
-    ``_CHUNK`` steps at a time: the block's noise is drawn into a
+    Path ``p`` draws all its increments from column ``p % 64`` of the
+    stream keyed by (master_seed, p // 64), so they do not depend on
+    ``n_paths`` (see ``rng``).  All paths advance together, one block of
+    at most ``_CHUNK`` steps at a time: the block's noise is drawn into a
     time-major (steps, n_paths) state block and each step overwrites its
     row with the pre-clamp states.  A non-finite state raises
     ``RuntimeError``; otherwise the block's extremes update
@@ -241,7 +242,7 @@ def simulate_sde(
     g_step, B_step = g_seg[seg], B_seg[seg]
     sqdt = math.sqrt(dt)
 
-    streams = [rng.path_stream(master_seed, p) for p in range(n_paths)]
+    streams = rng.tile_streams(master_seed, n_paths)
     states = np.empty((keep, len(times)))
     mean, var, q05, q50, q95 = np.empty((5, len(times)))
     states[:, 0] = mean[0] = q05[0] = q50[0] = q95[0] = x0

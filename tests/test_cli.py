@@ -199,6 +199,35 @@ def test_simulate_sde_files_are_full_state_statistics(tmp_path):
     assert not (tmp_path / "cli" / "ens_path03.csv").exists()
 
 
+def test_simulate_sde_prints_the_pre_clamp_range(tmp_path, capsys):
+    from flexfunc.dynamics import Schedule, simulate_sde
+    from flexfunc.model import FlexParams
+
+    params = dict(REF_PARAMS, sigma_x=2.0)  # strong noise steps outside [0, 1] before the clamp
+    body = {
+        "params": params,
+        "seed": 8,
+        "simulate": {
+            "mode": "sde",
+            "x0": 0.5,
+            "schedule": {"u": 0.5, "B": 0.4},
+            "dt": 0.1,
+            "t_end": 1.0,
+            "n_paths": 100,
+            "sample_paths": 1,
+            "output": "ens.csv",
+        },
+    }
+    assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path / "cli")]) == 0
+    ens = simulate_sde(
+        FlexParams.from_dict(params), 0.5, Schedule.constant(0.5, 0.4), 100, 8, dt=0.1, t_end=1.0, keep=1
+    )
+    assert ens.pre_clamp_min < 0.0 and ens.pre_clamp_max > 1.0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == f"pre-clamp state range: min={ens.pre_clamp_min!r} max={ens.pre_clamp_max!r}"
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == ["ens_path01.csv", "ens_summary.csv"]
+
+
 @pytest.mark.parametrize("n_paths", [0, 2.5, "8"])
 def test_simulate_sde_rejects_bad_n_paths(tmp_path, n_paths, capsys):
     body = {

@@ -12,6 +12,8 @@ from flexfunc.dynamics import Ensemble, Schedule
 from flexfunc.model import FlexParams, reference_params
 from strategies import admissible_params
 
+TILE = rng._TILE
+
 
 @pytest.fixture(scope="module")
 def p():
@@ -298,30 +300,32 @@ def test_path_normals_contract():
 @pytest.mark.parametrize("seed, path", [(7, 5), (0, 0), (2**64 - 1, 2**64 - 1)])
 def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     whole = rng.path_normals(seed, path, 2000)
-    stream = rng.path_stream(seed, path)
-    parts = [rng.fill_normals([stream], np.empty((n, 1)))[:, 0] for n in (64, 64, 1000, 872)]
+    stream = rng.tile_stream(seed, path // TILE)
+    parts = [rng.fill_normals([stream], np.empty((n, TILE)))[:, path % TILE] for n in (64, 64, 1000, 872)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
-    # the draws are numpy's standard normals on the Philox stream of the same key
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
-    assert gen.standard_normal(2000).tobytes() == whole.tobytes()
+    # the draws are column path % 64 of numpy's standard normals on the
+    # Philox stream of the tile's key, drawn 64 per step
+    key = np.array([seed, path // TILE], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    assert gen.standard_normal((2000, TILE))[:, path % TILE].tobytes() == whole.tobytes()
 
 
 def test_extreme_raw_draws_give_finite_normals():
     def drawn_after(raw):
-        stream = rng.path_stream(3, 0)
+        stream = rng.tile_stream(3, 0)
         state = stream.bit_generator.state
         state["buffer"] = np.full(4, raw, dtype=np.uint64)
         state["buffer_pos"] = 0  # the next four raw draws come from the buffer
         stream.bit_generator.state = state
-        return rng.fill_normals([stream], np.empty((6, 1)))[:, 0]
+        return rng.fill_normals([stream], np.empty((1, TILE)))[0]  # one step's slab
 
     assert np.isfinite(drawn_after(2**64 - 1)).all()
     z = drawn_after(0)
     assert np.isfinite(z).all()
     # a zero raw draw is a zero normal; the draws after the buffer are the stream's own
     assert (z[:4] == 0.0).all()
-    assert z[4:].tobytes() == rng.path_normals(3, 0, 2).tobytes()
+    assert z[4:].tobytes() == rng.tile_stream(3, 0).standard_normal(TILE - 4).tobytes()
 
 
 _unit = st.floats(0.0, 1.0)

@@ -130,14 +130,25 @@ def test_fill_normals_makes_no_block_sized_temporary():
 @given(st.integers(1, 200), st.integers(1, 300), st.integers(0, 2**64 - 1), st.data())
 def test_fill_normals_columns_are_path_streams_drawn_in_any_blocks(n_paths, steps, seed, data):
     # n_paths covers less than one tile, exactly one and a partial last tile
-    out = rng.fill_normals([rng.path_stream(seed, p) for p in range(n_paths)], np.empty((steps, n_paths)))
+    out = rng.fill_normals(rng.tile_streams(seed, n_paths), np.empty((steps, n_paths)))
+    assert len(rng.tile_streams(seed, n_paths)) == math.ceil(n_paths / rng._TILE)
     for p in range(n_paths):
         assert out[:, p].tobytes() == rng.path_normals(seed, p, steps).tobytes(), p
     # two calls of a and b steps draw what one call of a + b steps draws
     a = data.draw(st.integers(0, steps))
-    streams = [rng.path_stream(seed, p) for p in range(n_paths)]
+    streams = rng.tile_streams(seed, n_paths)
     parts = [rng.fill_normals(streams, np.empty((k, n_paths))) for k in (a, steps - a)]
     assert np.concatenate(parts).tobytes() == out.tobytes()
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 200), st.integers(1, 200))
+def test_kept_paths_do_not_depend_on_the_number_of_paths(n1, n2):
+    # less than one tile, exactly one and a partial last tile, on either side
+    p = reference_params()
+    keep = min(n1, n2)
+    a, b = (simulate_sde(p, X0, SCHED, n, 77, dt=DT, t_end=0.1, keep=keep) for n in (n1, n2))
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 @st.composite

@@ -111,23 +111,28 @@ def test_certificate_fails_where_f_rises_between_grid_points(u_star, B_star):
 
 
 def test_certificate_corner_branches(p):
-    # B* at the corners restricts the grid to the formula-consistent side
+    # B* at a corner narrows the region to [0, x*] at B* = 0 and to [x*, 1]
+    # at B* = 1; with x* at the far end, both are the whole unit interval
     c0 = equilibria.certify_deterministic(p, 0.0, 0.0)  # x* = 1, B* = 0
     c1 = equilibria.certify_deterministic(p, 1.0, 1.0)  # x* = 0, B* = 1
-    assert c0.passed and c1.passed
+    for cert in (c0, c1):
+        assert cert.passed and not cert.degenerate
+        assert cert.region == (0.0, 1.0)
+        assert cert.margin == -0.5  # max df/dx of the reference f
 
 
 def test_certificate_degenerate_vacuous(p):
-    # x* = 1 with B* = 1 leaves no sampled side at all: vacuous but flagged
+    # x* = 1 with B* = 1 leaves the empty region [1, 1]: vacuous but flagged
     cert = equilibria.certify_deterministic(p, 0.0, 1.0)
     assert cert.passed and cert.degenerate
     assert cert.margin == -np.inf
 
 
-def test_certificate_excludes_ball(p):
+def test_certificate_region_is_the_unit_interval(p):
     cert = equilibria.certify_deterministic(p, 0.2, 0.4)
     x_star = equilibria.solve_equilibrium(p, 0.2).x_star
     assert cert.passed
-    # the sampled region brackets x* but the margin stays strictly negative
-    assert cert.region[0] < x_star < cert.region[1]
-    assert cert.margin < 0.0
+    # an interior B* certifies all of [0, 1], x* included, with the margin max df/dx
+    assert cert.region == (0.0, 1.0)
+    assert 0.0 < x_star < 1.0
+    assert cert.margin == -0.5
