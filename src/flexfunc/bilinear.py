@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from ._csvio import write_csv
-from .dynamics import _CHUNK, Trajectory, time_grid
+from .dynamics import Trajectory, time_grid
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,13 @@ def strong_convergence_study(
     discretization effect.  Every dt must be an integer multiple of the
     finest dt dividing t_end in whole steps.
 
-    All paths advance together, one time-major (steps, n_paths) block of
-    fine increments at a time; every step size takes its steps from the
-    block's rows, summed in groups of its ratio, into its own state vector,
-    and w(t_end) adds up each block's rows.  A block is the
-    largest multiple of lcm(dt / dt_fine) that fits in ``_CHUNK`` steps, or
-    the lcm itself when that exceeds ``_CHUNK``, so each block holds whole
-    coarse steps and memory is O(n_paths * max(_CHUNK, lcm)).
+    All paths advance together through ``rng.normal_blocks``, one time-major
+    (steps, n_paths) block of fine increments at a time; every step size
+    takes its steps from the block's rows, summed in groups of its ratio,
+    into its own state vector, and w(t_end) adds up each block's rows.  A
+    block is the largest multiple of lcm(dt / dt_fine) that fits in
+    ``_CHUNK`` steps, or the lcm itself when that is larger, so each block
+    holds whole coarse steps and memory is O(n_paths * max(_CHUNK, lcm)).
     A system that every step size solves exactly has no error slope and
     raises ``ArithmeticError``.
     """
@@ -148,12 +148,10 @@ def strong_convergence_study(
         ratios.append(r)
 
     every_ratio = math.lcm(*ratios)
-    block = every_ratio * max(1, _CHUNK // every_ratio)
-    streams = rng.tile_streams(master_seed, n_paths)
+    rows = every_ratio * max(1, rng._CHUNK // every_ratio)
     xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
     w_end = np.zeros(n_paths)
-    for s0 in range(0, n_fine, block):
-        dw_fine = rng.fill_normals(streams, np.empty((min(block, n_fine - s0), n_paths)))
+    for dw_fine in rng.normal_blocks(master_seed, range(n_paths), n_fine, rows):
         dw_fine *= math.sqrt(dt_fine)
         w_end += dw_fine.sum(axis=0)
         for j, (dt, ratio) in enumerate(zip(dts, ratios)):
@@ -178,7 +176,7 @@ def as_growth_estimate(
     master_seed: int = 99,
 ) -> float:
     """Monte Carlo estimate of the almost-sure growth rate log|x(T)| / T."""
-    w_end = math.sqrt(t_end) * rng.normals(master_seed, range(n_paths), 1)[:, 0]
+    w_end = math.sqrt(t_end) * next(rng.normal_blocks(master_seed, range(n_paths), 1, 1))[0]
     x_end = exact_path(bp, np.full(n_paths, t_end), w_end)
     return float(np.mean(np.log(np.abs(x_end)) / t_end))
 
@@ -193,8 +191,8 @@ def demo_paths(
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = t_end / n_steps
+    times = time_grid(dt, t_end)
     dw = math.sqrt(dt) * rng.path_normals(master_seed, 0, n_steps)
-    times = np.arange(n_steps + 1) * dt
     w_path = np.concatenate(([0.0], np.cumsum(dw)))
     return times, em_path(bp, dt, dw), exact_path(bp, times, w_path)
 

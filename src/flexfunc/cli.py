@@ -483,6 +483,8 @@ def cmd_certify(cfg: dict, out: str) -> int:
         state = "pass" if c.passed else "FAIL"
         extra = " (degenerate)" if c.degenerate else ""
         print(f"{c.claim}: {state}{extra} margin={c.margin!r}")
+        if c.failures:  # only a failed claim has intervals where its inequality fails
+            print(f"{c.claim} fails on " + ", ".join(f"[{a!r}, {b!r}]" for a, b in c.failures))
     verdict = "pass" if radius_ok else "FAIL"
     print(f"stable radius {radius!r} vs target {target_radius!r}: {verdict}")
     return EXIT_OK if overall else EXIT_FAIL

@@ -20,8 +20,8 @@ import numpy as np
 from . import rng
 from ._csvio import write_csv
 from .model import FlexParams, check_unit, deviation, diffusion, price_response
+from .rng import _CHUNK
 
-_CHUNK = 128  # time steps per state block; bounds its memory
 _LEVELS = np.array([0.05, 0.50, 0.95])  # the ensemble quantiles
 
 
@@ -219,14 +219,14 @@ def simulate_sde(
     Path ``p`` draws all its increments from column ``p % 64`` of the
     stream keyed by (master_seed, p // 64), so they do not depend on
     ``n_paths`` (see ``rng``).  All paths advance together, one block of
-    at most ``_CHUNK`` steps at a time: the block's noise is drawn into a
-    time-major (steps, n_paths) state block and each step overwrites its
-    row with the pre-clamp states.  A non-finite state raises
-    ``RuntimeError``; otherwise the block's extremes update
-    ``pre_clamp_min``/``max``, the block is clamped, the first ``keep``
-    paths (all of them when None) are copied out, the mean and variance
-    are taken along each row, and the rows are then sorted in place for
-    the 5/50/95% quantiles.
+    at most ``_CHUNK`` steps at a time: each time-major (steps, n_paths)
+    noise block that ``rng.normal_blocks`` yields becomes the state block,
+    and each step overwrites its row with the pre-clamp states.  A
+    non-finite state raises ``RuntimeError``; otherwise the block's
+    extremes update ``pre_clamp_min``/``max``, the block is clamped, the
+    first ``keep`` paths (all of them when None) are copied out, the mean
+    and variance are taken along each row, and the rows are then sorted in
+    place for the 5/50/95% quantiles.
     The t = 0 column is x0 exactly, with variance 0.  Memory is
     O(n_paths * _CHUNK + keep * n_times).  The drift is
     ``model.deviation``, the kernel that also computes the ODE demand column.
@@ -242,20 +242,18 @@ def simulate_sde(
     g_step, B_step = g_seg[seg], B_seg[seg]
     sqdt = math.sqrt(dt)
 
-    streams = rng.tile_streams(master_seed, n_paths)
     states = np.empty((keep, len(times)))
     mean, var, q05, q50, q95 = np.empty((5, len(times)))
     states[:, 0] = mean[0] = q05[0] = q50[0] = q95[0] = x0
     var[0] = 0.0
     x = np.full(n_paths, x0)
     lo, hi, n_steps = x0, x0, len(times) - 1
-    for s0 in range(0, n_steps, _CHUNK):
-        s1 = min(s0 + _CHUNK, n_steps)
+    blocks = rng.normal_blocks(master_seed, range(n_paths), n_steps, _CHUNK)
+    for s0, block in zip(range(0, n_steps, _CHUNK), blocks):
+        s1 = s0 + len(block)
         # Row j is time s0 + 1 + j, one contiguous row of paths.  Each row
         # holds its step's noise until the step overwrites it with the
         # pre-clamp state.
-        block = np.empty((s1 - s0, n_paths))
-        rng.fill_normals(streams, block)
         # an overflow leaves a non-finite state, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(range(s0, s1)):

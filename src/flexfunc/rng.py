@@ -10,17 +10,18 @@ increments come from numpy's ziggurat sampler (``Generator.standard_normal``)
 on that stream.  A tile reads its stream in order and nothing jumps a
 stream by its counter, so drawing a tile in blocks of steps gives the same
 numbers as drawing it in one call, although the ziggurat takes a varying
-number of raw draws per normal.
+number of raw draws per normal.  ``normal_blocks`` is the one walk the
+package draws noise by; ``normals``, one whole-matrix call per tile, is the
+reference the tests compare it with.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 _U64_MAX = 2**64 - 1
 _TILE = 64  # paths per stream
+_CHUNK = 128  # time steps per noise block; bounds its memory
 
 
 def check_seed(seed: int) -> int:
@@ -35,31 +36,29 @@ def tile_stream(master_seed: int, tile: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# ``tile_stream`` under its earlier name: stream i of a list built with it is tile i's.
-path_stream = tile_stream
+def normal_blocks(master_seed: int, paths: range, n_steps: int, rows: int):
+    """Yield the ``n_steps`` draws of a step-1 range of paths as time-major blocks.
 
-
-def tile_streams(master_seed: int, n_paths: int) -> list[np.random.Generator]:
-    """The streams of the ceil(n_paths / 64) tiles that hold paths 0 to n_paths - 1."""
-    return [tile_stream(master_seed, t) for t in range(math.ceil(n_paths / _TILE))]
-
-
-def fill_normals(streams, out: np.ndarray) -> np.ndarray:
-    """Fill columns ``64 t`` to ``64 t + 63`` of ``out`` with the next draws of ``streams[t]``.
-
-    ``out`` is time-major, (steps, paths), so a time step's draws lie in one
-    contiguous row.  Each tile draws a full (steps, ``_TILE``) slab into one
-    reused C-contiguous scratch array by ``Generator.standard_normal(out=slab)``,
-    and the columns of ``out`` it covers are copied from it; a partial last
-    tile still draws all 64 columns, so a path's numbers do not depend on
-    the number of paths.  No temporary of the block's size is made.
+    Each block is a new (``rows``, len(paths)) array, the last one shorter.
+    Each tile the paths touch gets its stream once per walk; per block it
+    draws a full (steps, 64) slab into one reused C-contiguous scratch
+    array, and the block copies the columns it covers.  A partial tile
+    still draws all 64 columns, so no draw depends on ``paths`` or ``rows``.
     """
-    slab = np.empty((out.shape[0], _TILE))
-    for p0, stream in zip(range(0, out.shape[1], _TILE), streams):
-        stream.standard_normal(out=slab)
-        cols = out[:, p0 : p0 + _TILE]
-        cols[...] = slab[:, : cols.shape[1]]
-    return out
+    start, stop = check_seed(paths.start), check_seed(paths.stop - 1) + 1
+    tiles = []  # (stream, its columns of the block, their columns of its slab)
+    for t in range(start // _TILE, -(-stop // _TILE)):
+        lo, hi = max(start, t * _TILE), min(stop, (t + 1) * _TILE)
+        slab_cols = slice(lo - t * _TILE, hi - t * _TILE)
+        tiles.append((tile_stream(master_seed, t), slice(lo - start, hi - start), slab_cols))
+    slab = np.empty((min(rows, n_steps), _TILE))
+    for s0 in range(0, n_steps, rows):
+        block = np.empty((min(rows, n_steps - s0), stop - start))
+        part = slab[: len(block)]
+        for stream, cols, slab_cols in tiles:
+            stream.standard_normal(out=part)
+            block[:, cols] = part[:, slab_cols]
+        yield block
 
 
 def normals(master_seed: int, paths, n: int) -> np.ndarray:
@@ -74,5 +73,6 @@ def normals(master_seed: int, paths, n: int) -> np.ndarray:
 
 
 def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:
-    """``n`` standard normal draws of one path: its column of its tile's (n, 64) draw."""
-    return normals(master_seed, [path_index], n)[0]
+    """``n`` standard normal draws of one path, read ``_CHUNK`` steps at a time."""
+    blocks = normal_blocks(master_seed, range(path_index, path_index + 1), n, _CHUNK)
+    return np.concatenate([*blocks, np.empty((0, 1))])[:, 0]  # the empty block allows n = 0

@@ -105,6 +105,19 @@ def test_demo_paths_refuses_no_steps(n_steps):
         bilinear.demo_paths(BilinearParams(), n_steps=n_steps)
 
 
+@pytest.mark.parametrize("t_end", [0.0, math.nan, math.inf, -1.0])
+def test_demo_paths_refuses_a_bad_horizon(t_end):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        bilinear.demo_paths(BilinearParams(), t_end=t_end)
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 7, 256, 1000, 4097])
+@pytest.mark.parametrize("t_end", [1.0, 0.3, 59.4, 1e-3])
+def test_demo_paths_times_are_the_uniform_grid(t_end, n_steps):
+    times, _, _ = bilinear.demo_paths(BilinearParams(), t_end=t_end, n_steps=n_steps)
+    assert times.tobytes() == (np.arange(n_steps + 1) * (t_end / n_steps)).tobytes()
+
+
 def test_brownian_refinement_consistency():
     # all levels ride the same fine-grid paths: adding an intermediate level
     # cannot change the error at the levels already present

@@ -1,5 +1,6 @@
 """End-to-end checks of the batch CLI: exit codes, file contracts, determinism."""
 
+import ast
 import copy
 import json
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexfunc import stability
 from flexfunc._csvio import write_csv
 from flexfunc.cli import ConfigError, _number, main
+from flexfunc.model import FlexParams
 
 REF_PARAMS = {
     "C": 2.97,
@@ -688,6 +691,25 @@ def test_certify_high_noise_fails_on_radius(tmp_path, capsys):
     assert doc["stable_radius"] == pytest.approx(0.03367003367003367, rel=1e-12)
     assert doc["radius_meets_target"] is False
     assert doc["overall_pass"] is False
+
+
+def test_certify_prints_the_failure_intervals_of_a_failed_claim(tmp_path, capsys):
+    body = {
+        "params": dict(REF_PARAMS, sigma_x=1.0),
+        "certify": {"u_star": 0.0, "B_star": 0.9, "output": "cert.json"},
+    }
+    cfg = cfg_file(tmp_path, body)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = lines.index(next(line for line in lines if line.startswith("stoch-stable: FAIL")))
+    prefix = "stoch-stable fails on "
+    assert lines[failed + 1].startswith(prefix)
+    printed = ast.literal_eval(f"[{lines[failed + 1][len(prefix):]}]")
+    cert = stability.certify_stable(FlexParams.from_dict(body["params"]), 0.0, 0.9)
+    assert cert.failures == ((0.9665, 0.9865),)
+    assert [tuple(interval) for interval in printed] == list(cert.failures)  # repr floats: exact
+    # the passing claims print no failure line
+    assert sum(" fails on " in line for line in lines) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,7 +293,13 @@ def test_path_normals_contract():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # standard normal within MC error
-    big = rng.path_normals(7, 2, 200_000)
+    tracemalloc.start()
+    try:
+        big = rng.path_normals(7, 2, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak  # one path's draws, not its tile's whole (200_000, 64) draw of 102.4 MB
     assert abs(big.mean()) < 0.01 and abs(big.std() - 1.0) < 0.01
     with pytest.raises(ValueError):
         rng.check_seed(-1)
@@ -300,9 +308,9 @@ def test_path_normals_contract():
 @pytest.mark.parametrize("seed, path", [(7, 5), (0, 0), (2**64 - 1, 2**64 - 1)])
 def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     whole = rng.path_normals(seed, path, 2000)
-    stream = rng.tile_stream(seed, path // TILE)
-    parts = [rng.fill_normals([stream], np.empty((n, TILE)))[:, path % TILE] for n in (64, 64, 1000, 872)]
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    for rows in (1, 64, 872, 1000, 2000, 2001):
+        blocks = rng.normal_blocks(seed, range(path, path + 1), 2000, rows)
+        assert np.concatenate(list(blocks))[:, 0].tobytes() == whole.tobytes(), rows
     assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
     # the draws are column path % 64 of numpy's standard normals on the
     # Philox stream of the tile's key, drawn 64 per step
@@ -311,21 +319,45 @@ def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     assert gen.standard_normal((2000, TILE))[:, path % TILE].tobytes() == whole.tobytes()
 
 
-def test_extreme_raw_draws_give_finite_normals():
+@pytest.mark.parametrize(
+    "paths, n_tiles",
+    [
+        (range(5, 6), 1),
+        (range(63, 65), 2),
+        (range(64, 200), 3),
+        # float division would round (2**64 - 64) / 64 up to 2**58 and build a second stream
+        (range(2**64 - 65, 2**64 - 64), 1),
+        (range(2**64 - 130, 2**64), 3),
+    ],
+)
+def test_a_walk_builds_one_stream_per_tile_it_touches(paths, n_tiles):
+    with mock.patch.object(rng, "tile_stream", wraps=rng.tile_stream) as built:
+        blocks = list(rng.normal_blocks(11, paths, 70, 32))
+    first = paths.start // TILE
+    assert [c.args for c in built.call_args_list] == [(11, t) for t in range(first, first + n_tiles)]
+    # the columns are the whole-matrix reference draws of the same paths
+    assert np.concatenate(blocks).tobytes() == rng.normals(11, paths, 70).T.tobytes()
+
+
+def test_extreme_raw_draws_give_finite_normals(monkeypatch):
+    tile_stream = rng.tile_stream
+
     def drawn_after(raw):
-        stream = rng.tile_stream(3, 0)
+        stream = tile_stream(3, 0)
         state = stream.bit_generator.state
         state["buffer"] = np.full(4, raw, dtype=np.uint64)
         state["buffer_pos"] = 0  # the next four raw draws come from the buffer
         stream.bit_generator.state = state
-        return rng.fill_normals([stream], np.empty((1, TILE)))[0]  # one step's slab
+        monkeypatch.setattr(rng, "tile_stream", lambda seed, t: stream)
+        (block,) = rng.normal_blocks(3, range(TILE), 1, 1)  # one step's slab
+        return block[0]
 
     assert np.isfinite(drawn_after(2**64 - 1)).all()
     z = drawn_after(0)
     assert np.isfinite(z).all()
     # a zero raw draw is a zero normal; the draws after the buffer are the stream's own
     assert (z[:4] == 0.0).all()
-    assert z[4:].tobytes() == rng.tile_stream(3, 0).standard_normal(TILE - 4).tobytes()
+    assert z[4:].tobytes() == tile_stream(3, 0).standard_normal(TILE - 4).tobytes()
 
 
 _unit = st.floats(0.0, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,34 +112,35 @@ def test_ensemble_mean_is_within_a_few_ulps_of_the_exact_mean():
     assert np.all(np.abs(ens.mean - exact) <= 4 * np.spacing(exact))
 
 
-def test_fill_normals_makes_no_block_sized_temporary():
-    streams = [rng.path_stream(13, p) for p in range(4096)]
-    out = np.empty((CHUNK, 4096))
+def test_normal_blocks_make_no_block_sized_temporary():
+    blocks = rng.normal_blocks(13, range(4096), CHUNK, CHUNK)
     tracemalloc.start()
     try:
-        rng.fill_normals(streams, out)
+        (block,) = blocks
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes / 8, peak
-    # sampled columns are their streams' own draws
+    assert peak - block.nbytes < block.nbytes / 8, peak
+    # sampled columns are their paths' own draws
     for p in (0, 63, 64, 4095):
-        assert out[:, p].tobytes() == rng.path_normals(13, p, CHUNK).tobytes()
+        assert block[:, p].tobytes() == rng.path_normals(13, p, CHUNK).tobytes()
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 200), st.integers(1, 300), st.integers(0, 2**64 - 1), st.data())
-def test_fill_normals_columns_are_path_streams_drawn_in_any_blocks(n_paths, steps, seed, data):
+def test_normal_blocks_columns_are_path_normals_in_any_rows(n_paths, steps, seed, data):
     # n_paths covers less than one tile, exactly one and a partial last tile
-    out = rng.fill_normals(rng.tile_streams(seed, n_paths), np.empty((steps, n_paths)))
-    assert len(rng.tile_streams(seed, n_paths)) == math.ceil(n_paths / rng._TILE)
+    rows = data.draw(st.integers(1, steps + 1))
+    with mock.patch.object(rng, "tile_stream", wraps=rng.tile_stream) as built:
+        blocks = list(rng.normal_blocks(seed, range(n_paths), steps, rows))
+    assert built.call_count == math.ceil(n_paths / rng._TILE)
+    assert [len(b) for b in blocks] == [min(rows, steps - s0) for s0 in range(0, steps, rows)]
+    out = np.concatenate(blocks)
     for p in range(n_paths):
         assert out[:, p].tobytes() == rng.path_normals(seed, p, steps).tobytes(), p
-    # two calls of a and b steps draw what one call of a + b steps draws
-    a = data.draw(st.integers(0, steps))
-    streams = rng.tile_streams(seed, n_paths)
-    parts = [rng.fill_normals(streams, np.empty((k, n_paths))) for k in (a, steps - a)]
-    assert np.concatenate(parts).tobytes() == out.tobytes()
+    # blocks of any rows draw what one block of every step draws
+    (whole,) = rng.normal_blocks(seed, range(n_paths), steps, steps)
+    assert whole.tobytes() == out.tobytes()
 
 
 @settings(max_examples=40)
