@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -159,6 +160,13 @@ def integrate_ode(
     response is evaluated once per schedule segment, not once per time
     point.  The segments of every step's start, midpoint and end are looked
     up before the loop.
+
+    A settled start stops costing steps.  When a step whose three stages read
+    one segment returns its own input, that input is a fixed point of the
+    segment's step map, so every step up to the first one whose end reads a
+    later segment returns it too: those states are filled in and the loop
+    resumes there.  The states equal those of computing every step, bit for
+    bit.
     """
     x = check_unit("x0", x0)
     dt, times = _grid(params, dt, t_end)
@@ -168,16 +176,24 @@ def integrate_ode(
 
     states = np.empty(times.shape)
     states[0] = x
-    for i, (j0, jh, j1) in enumerate(zip(seg.tolist(), seg_h.tolist(), seg_1.tolist())):
+    steps = enumerate(zip(seg.tolist(), seg_h.tolist(), seg_1.tolist()))
+    for i, (j0, jh, j1) in steps:
         k1 = _drift_scalar(params, x, g[j0], B[j0])
         k2 = _drift_scalar(params, x + 0.5 * dt * k1, g[jh], B[jh])
         k3 = _drift_scalar(params, x + 0.5 * dt * k2, g[jh], B[jh])
         k4 = _drift_scalar(params, x + dt * k3, g[j1], B[j1])
-        x += dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not math.isfinite(x):
+        x_new = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not math.isfinite(x_new):
             raise RuntimeError(f"non-finite state at t={times[i] + dt}")
-        x = min(1.0, max(0.0, x))
-        states[i + 1] = x
+        x_new = min(1.0, max(0.0, x_new))
+        if x_new == x and j0 == j1:
+            # a fixed point of segment j0's step map holds until a step ends in a later segment
+            end = int(np.searchsorted(seg_1, j1, side="right"))
+            states[i + 1 : end + 1] = x_new
+            next(islice(steps, end - i - 1, end - i - 1), None)  # resume at step ``end``
+        else:
+            states[i + 1] = x_new
+        x = x_new
     g_t, B_t = g_seg[seg], B_seg[seg]
     demands = B_t + deviation(params, states, g_t, B_t)
     return Trajectory(times=times, states=states, demands=demands)

@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 from bisect import bisect_right
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -138,8 +140,8 @@ def _value_at(sched, t):
 
 
 @st.composite
-def _schedule_on_grid(draw, dt, n_steps):
-    """1-4 segments; inner breakpoints are grid times, half-steps or arbitrary times."""
+def _schedule_on_grid(draw, dt, n_steps, max_inner=3):
+    """Up to max_inner + 1 segments; inner breakpoints are grid times, half-steps or arbitrary times."""
     inner = draw(
         st.lists(
             st.one_of(
@@ -147,7 +149,7 @@ def _schedule_on_grid(draw, dt, n_steps):
                 st.integers(0, n_steps - 1).map(lambda i: (i + 0.5) * dt),
                 st.floats(0.0, n_steps * dt, exclude_min=True),
             ),
-            max_size=3,
+            max_size=max_inner,
         )
     )
     breakpoints = [0.0, *sorted(set(inner))]
@@ -169,11 +171,12 @@ def test_ode_demand_column_matches_scalar_demand(data, params, x0, dt):
 
 
 def _reference_rk4(params, x0, sched, dt, times):
-    """The RK4 loop with each stage's (g, B) looked up by ``_value_at``."""
+    """The RK4 loop with each stage's (g, B) looked up by ``_value_at``; every step computed."""
+    g = {u: model.price_response(params, u) for u in sched.u_values}
 
     def rate(t, x):
         u, B = _value_at(sched, t)
-        return dynamics._drift_scalar(params, x, model.price_response(params, u), B)
+        return dynamics._drift_scalar(params, x, g[u], B)
 
     x = x0
     states = [x]
@@ -196,6 +199,52 @@ def test_rk4_stage_inputs_match_schedule_lookup(data, params, x0, dt):
     sched = data.draw(_schedule_on_grid(dt, n_steps))
     traj = dynamics.integrate_ode(params, x0, sched, dt=dt, t_end=n_steps * dt)
     assert np.array_equal(traj.states, _reference_rk4(params, x0, sched, dt, traj.times))
+
+
+@settings(max_examples=30)
+@given(st.data(), admissible_params(), st.sampled_from([0.01, 0.05, 0.3]))
+def test_rk4_long_horizon_matches_reference(data, params, dt):
+    # long enough for most segments to settle: a step that returns its own
+    # input fills the rest of its segment, and the next segment resumes it
+    n_steps = data.draw(st.integers(1000, 4000))
+    sched = data.draw(_schedule_on_grid(dt, n_steps, max_inner=2))
+    x_star = equilibria.solve_equilibrium(params, sched.u_values[0]).x_star
+    near = st.floats(-1e-6, 1e-6).map(lambda d: min(1.0, max(0.0, x_star + d)))
+    x0 = data.draw(st.one_of(st.sampled_from([0.0, 1.0, x_star]), near, st.floats(0.0, 1.0)))
+    traj = dynamics.integrate_ode(params, x0, sched, dt=dt, t_end=n_steps * dt)
+    assert np.array_equal(traj.states, _reference_rk4(params, x0, sched, dt, traj.times))
+
+
+def test_ode_fill_needs_a_step_inside_one_segment(p):
+    # a step whose end stage reads the next segment can return its own input
+    # although that segment's steps move the state: it must not start a fill
+    dt = 0.01
+    x_settled = dynamics.integrate_ode(p, 0.3, Schedule.constant(0.5, 0.4), dt=dt, t_end=40.0).states[-1]
+    moved = 0
+    for du in np.linspace(1e-14, 1e-13, 30):
+        sched = Schedule((0.0, 10.75 * dt), (0.5, 0.5 + du), (0.4, 0.4))
+        x = dynamics.integrate_ode(p, x_settled, sched, dt=dt, t_end=400 * dt).states
+        assert np.array_equal(x, _reference_rk4(p, x_settled, sched, dt, np.arange(401) * dt))
+        moved += x[11] == x[10] != x[-1]
+    assert moved  # some straddling step returned its input and the state moved later
+
+
+def test_ode_fills_the_settled_fig2_fan(monkeypatch):
+    # fig2's starts reach a fixed point of the RK4 step well before t_end = 40 C;
+    # computing every step would call the drift 4 n_steps times per start
+    config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2.json").read_text())
+    params, x0s = FlexParams.from_dict(config["params"]), config["simulate"]["x0"]
+    sched = Schedule.constant(0.5, 0.4)
+    drift, calls = dynamics._drift_scalar, []
+
+    def counting(*args):
+        calls.append(None)
+        return drift(*args)
+
+    monkeypatch.setattr(dynamics, "_drift_scalar", counting)
+    for x0 in x0s:
+        n_steps = len(dynamics.integrate_ode(params, x0, sched, t_end=40.0 * params.C).times) - 1
+    assert len(calls) < 0.5 * 4 * n_steps * len(x0s)
 
 
 def test_ode_prices_each_segment_once(p, monkeypatch):
