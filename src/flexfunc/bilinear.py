@@ -74,12 +74,15 @@ def exact_path(bp: BilinearParams, times: np.ndarray, w_path: np.ndarray) -> np.
     return bp.x0 * np.exp(bp.as_growth * times + bp.r2 * w_path)
 
 
-def em_path(bp: BilinearParams, dt: float, dw: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama path of the Ito SDE from Brownian increments dw."""
+def em_path(bp: BilinearParams, dt: float, dw: np.ndarray, x0=None) -> np.ndarray:
+    """Euler-Maruyama states of the Ito SDE from time-major Brownian increments ``dw``.
+
+    ``dw`` has one row per step, for one path or a row of paths; the result
+    has one row of states per time, the first being ``x0`` (default ``bp.x0``).
+    """
     dw = np.asarray(dw, dtype=float)
-    xs = np.empty(len(dw) + 1)
-    x = float(bp.x0)
-    xs[0] = x
+    xs = np.empty((len(dw) + 1,) + dw.shape[1:])
+    x = xs[0] = float(bp.x0) if x0 is None else x0
     for i, inc in enumerate(dw):
         x = x + bp.r1 * x * dt + bp.r2 * x * inc
         xs[i + 1] = x
@@ -156,10 +159,7 @@ def strong_convergence_study(
         w_end += dw_fine.sum(axis=0)
         for j, (dt, ratio) in enumerate(zip(dts, ratios)):
             dw = dw_fine if ratio == 1 else dw_fine.reshape(-1, ratio, n_paths).sum(axis=1)
-            x = xs[j]
-            for inc in dw:
-                x = x + bp.r1 * x * dt + bp.r2 * x * inc
-            xs[j] = x
+            xs[j] = em_path(bp, dt, dw, xs[j])[-1]
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
     errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])

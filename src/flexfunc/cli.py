@@ -88,15 +88,17 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
-def _int(value, name: str, low=-math.inf) -> int:
+def _int(value, name: str, low=-math.inf, high=math.inf) -> int:
     number = _number(value, name, int)
     if number < low:
         raise ConfigError(f"{name} must be >= {low}, got {number}")
+    if number > high:
+        raise ConfigError(f"{name} must be <= {high}, got {number}")
     return number
 
 
 _count = functools.partial(_int, low=1)
-_seed = functools.partial(_int, low=0)
+_seed = functools.partial(_int, low=0, high=2**64 - 1)
 _n_cells = functools.partial(_int, low=16)
 _grid_n = functools.partial(_int, low=MIN_GRID_N)
 

@@ -206,8 +206,10 @@ def _quantiles(rows: np.ndarray) -> np.ndarray:
     unsorted rows: the virtual index (n - 1) q; at or past the last index
     both neighbours are the last element and the weight is measured from
     index -1; and a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5.
-    Sorting contiguous rows is cheaper than numpy's introselect down each
-    strided column of the block.
+    ``np.quantile(rows, _LEVELS, axis=1, overwrite_input=True)`` gives the
+    same bits, but it partitions each row at eight indices (0, n - 1 and
+    two per level) and took about 5x as long as an in-place sort of the
+    rows on a 128 x 4096 block (ROADMAP, "Measured rejections").
     """
     n = rows.shape[1]
     pos = (n - 1) * _LEVELS

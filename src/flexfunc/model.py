@@ -19,7 +19,8 @@ f(1) = -1; ``g`` is a monotone decreasing I-spline price-response with
 g(0) = 1 and g(1) = -1, so full charge at zero price and empty charge at
 price cap are exact demand equilibria.
 
-All response functions accept scalars or numpy arrays.
+All response functions accept scalars or numpy arrays and broadcast them:
+a 0-d result comes back as a Python ``float``, an array result as it is.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def check_unit(name: str, value) -> float:
     return float(value)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _out(val):
+    """The module's scalar rule: a 0-d ``val`` as a Python float, an array as it is."""
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def charge_response(params: FlexParams, x):
@@ -121,11 +122,9 @@ def charge_response(params: FlexParams, x):
     with a2 + a3 + a4 = 1, so f(0) = 1 and f(1) = -1 exactly.
     """
     a1, a2, a3, a4 = params.alpha
-    arr, scalar = _as_array(x)
-    y = 2.0 * arr - 1.0
+    y = 2.0 * np.asarray(x, dtype=float) - 1.0
     y2 = y * y
-    val = (-y + a1 * (1.0 - y2)) * (a2 + a3 * y2 + a4 * y2 * y2 * y2)
-    return float(val) if scalar else val
+    return _out((-y + a1 * (1.0 - y2)) * (a2 + a3 * y2 + a4 * y2 * y2 * y2))
 
 
 def _charge_slope(alpha) -> np.ndarray:
@@ -168,10 +167,9 @@ def price_response(params: FlexParams, u):
     n = params.basis.basis_count
     if len(params.beta) != n:
         raise ValueError(f"beta has {len(params.beta)} entries but the basis has {n} functions")
-    arr, scalar = _as_array(u)
+    arr = np.asarray(u, dtype=float)
     coefs = params.g0 + np.concatenate(([0.0], np.cumsum(params.beta)))
-    out = params.basis.spline(coefs, arr).reshape(arr.shape)
-    return float(out) if scalar else out
+    return _out(params.basis.spline(coefs, arr).reshape(arr.shape))
 
 
 def logistic_response(params: FlexParams, z):
@@ -180,9 +178,7 @@ def logistic_response(params: FlexParams, z):
     The tanh form is used because it cannot overflow; it is algebraically
     identical to the logistic form.
     """
-    arr, scalar = _as_array(z)
-    val = np.tanh(0.5 * params.k * arr)
-    return float(val) if scalar else val
+    return _out(np.tanh(0.5 * params.k * np.asarray(z, dtype=float)))
 
 
 def demand_deviation(params: FlexParams, delta, B):
@@ -191,10 +187,8 @@ def demand_deviation(params: FlexParams, delta, B):
     dD = delta * lambda * (1 - B) for delta >= 0, delta * lambda * B
     otherwise, so B + dD stays within [B - lambda B, B + lambda (1 - B)].
     """
-    d, scalar_d = _as_array(delta)
-    b, scalar_b = _as_array(B)
-    val = (d * params.lam) * np.where(d >= 0.0, 1.0 - b, b)
-    return float(val) if scalar_d and scalar_b else val
+    d, b = np.asarray(delta, dtype=float), np.asarray(B, dtype=float)
+    return _out((d * params.lam) * np.where(d >= 0.0, 1.0 - b, b))
 
 
 def deviation(params: FlexParams, x, g, B):
@@ -209,21 +203,18 @@ def deviation(params: FlexParams, x, g, B):
 
 def demand(params: FlexParams, x, u, B):
     """Total demand D = B + dD(x, u, B), always in [0, 1]."""
-    val = np.add(B, deviation(params, x, price_response(params, u), B))
-    return float(val) if val.ndim == 0 else val
+    return _out(np.add(B, deviation(params, x, price_response(params, u), B)))
 
 
 def drift(params: FlexParams, x, u, B):
     """State drift dD / C."""
-    arr = np.asarray(deviation(params, x, price_response(params, u), B)) / params.C
-    return float(arr) if arr.ndim == 0 else arr
+    return _out(deviation(params, x, price_response(params, u), B) / params.C)
 
 
 def diffusion(params: FlexParams, x):
     """State diffusion x (1 - x) sigma_x, vanishing at both boundaries."""
-    arr, scalar = _as_array(x)
-    val = arr * (1.0 - arr) * params.sigma_x
-    return float(val) if scalar else val
+    arr = np.asarray(x, dtype=float)
+    return _out(arr * (1.0 - arr) * params.sigma_x)
 
 
 @dataclass

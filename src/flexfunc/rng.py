@@ -45,6 +45,8 @@ def normal_blocks(master_seed: int, paths: range, n_steps: int, rows: int):
     array, and the block copies the columns it covers.  A partial tile
     still draws all 64 columns, so no draw depends on ``paths`` or ``rows``.
     """
+    if paths.step != 1 or not paths:
+        raise ValueError(f"paths must be a nonempty range with step 1, got {paths!r}")
     start, stop = check_seed(paths.start), check_seed(paths.stop - 1) + 1
     tiles = []  # (stream, its columns of the block, their columns of its slab)
     for t in range(start // _TILE, -(-stop // _TILE)):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificates import MIN_GRID_N, StabilityCertificate, empty_certificate, grid_certificate
 from .equilibria import CORNERS, _halve
-from .model import FlexParams, charge_response, check_unit, drift, logistic_response, price_response
+from .model import FlexParams, _out, charge_response, check_unit, drift, logistic_response, price_response
 
 #: largest sigma_x that max_stable_noise reports
 SIGMA_CAP = 1e6
@@ -51,8 +51,7 @@ def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
     """LV(x) for V = (x - x*)^2 / 2 at the corner equilibrium of u*."""
     xs = np.asarray(x, dtype=float)
     drift_part = drift(params, xs, u_star, check_unit("B_star", B_star)) * (xs - _corner(u_star))
-    val = drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2
-    return float(val) if np.ndim(x) == 0 else val
+    return _out(drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2)
 
 
 def min_drift_gain(params: FlexParams, B_star: float) -> float:

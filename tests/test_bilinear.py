@@ -68,6 +68,24 @@ def test_em_path_matches_exact_at_fine_dt():
     assert x_em.shape == x_exact.shape == times.shape
 
 
+def test_em_path_steps_a_row_of_paths_as_each_path_alone():
+    bp = BilinearParams(0.7, -1.1, 1.3)
+    dw = 0.1 * np.random.default_rng(3).standard_normal((40, 5))
+    x0 = np.linspace(0.5, 2.0, 5)
+    rows = bilinear.em_path(bp, 0.01, dw, x0)
+    assert rows.shape == (41, 5) and rows[0].tobytes() == x0.tobytes()
+    for p in range(5):
+        alone = bilinear.em_path(BilinearParams(0.7, -1.1, x0[p]), 0.01, dw[:, p])
+        assert rows[:, p].tobytes() == alone.tobytes(), p
+    # the default start is bp.x0 for every path
+    assert bilinear.em_path(bp, 0.01, dw)[0].tolist() == [1.3] * 5
+
+
+def test_as_growth_estimate_refuses_no_paths():
+    with pytest.raises(ValueError, match="paths must be a nonempty range with step 1"):
+        bilinear.as_growth_estimate(BilinearParams(), n_paths=0)
+
+
 def test_strong_convergence_slope_half():
     bp = BilinearParams(1.0, -1.2, 1.0)
     study = bilinear.strong_convergence_study(bp, n_paths=400, master_seed=2024)

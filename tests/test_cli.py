@@ -994,6 +994,23 @@ def test_examples_accept_the_largest_seed(tmp_path):
     assert paths.read_bytes() == (tmp_path / str(2**64 - 2) / "examples_system2_paths.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize(
+    "command,block",
+    [*_SMALL.items(), ("simulate", _small("simulate", mode="sde", n_paths=4))],
+    ids=[*_SMALL, "simulate-sde"],
+)
+def test_seeds_above_the_largest_are_refused_before_any_output(tmp_path, command, block, flag, capsys):
+    body = {"params": REF_PARAMS, command: block}
+    if not flag:
+        body["seed"] = 2**64
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file(tmp_path, body), "--out", str(out)]
+    assert main(argv + (["--seed", str(2**64)] if flag else [])) == 2
+    assert f'"seed" must be <= {2**64 - 1}, got {2**64}' in capsys.readouterr().err
+    assert not out.exists()
+
+
 _NOISELESS = dict(REF_PARAMS, sigma_x=0.0)
 
 

@@ -388,6 +388,15 @@ def test_a_walk_builds_one_stream_per_tile_it_touches(paths, n_tiles):
     assert np.concatenate(blocks).tobytes() == rng.normals(11, paths, 70).T.tobytes()
 
 
+@pytest.mark.parametrize("paths", [range(0, 10, 2), range(5, 0, -1), range(0), range(7, 7), range(9, 3)])
+def test_a_walk_refuses_a_range_it_cannot_tile(paths):
+    # a step-2 range once gave blocks as wide as its span; an empty one, a seed error for -1
+    with mock.patch.object(rng, "tile_stream", wraps=rng.tile_stream) as built:
+        with pytest.raises(ValueError, match=r"^paths must be a nonempty range with step 1, got range\("):
+            next(rng.normal_blocks(11, paths, 70, 32))
+    assert not built.called
+
+
 def test_extreme_raw_draws_give_finite_normals(monkeypatch):
     tile_stream = rng.tile_stream
 

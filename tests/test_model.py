@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flexfunc import equilibria, model
+from flexfunc import equilibria, model, stability
 from flexfunc.model import FlexParams, reference_params
 from strategies import admissible_params
 
@@ -112,10 +112,47 @@ def test_drift_sign_law_over_admissible_params(params, u, B):
     assert np.all(np.abs(rate) <= params.lam / params.C)
 
 
-def test_scalar_array_polymorphism(p):
-    assert isinstance(model.charge_response(p, 0.3), float)
-    assert isinstance(model.charge_response(p, np.array([0.3, 0.4])), np.ndarray)
-    assert isinstance(model.demand(p, 0.3, 0.2, 0.4), float)
+_UNIT = st.floats(0.0, 1.0)
+_SIGNED = st.floats(-1.0, 1.0)
+# name -> (function, strategies of the arguments that broadcast, of the scalar ones after them)
+_SCALAR_RULE = {
+    "charge_response": (model.charge_response, (_UNIT,), ()),
+    "price_response": (model.price_response, (_UNIT,), ()),
+    "logistic_response": (model.logistic_response, (st.floats(-1e3, 1e3),), ()),
+    "diffusion": (model.diffusion, (_UNIT,), ()),
+    "demand_deviation": (model.demand_deviation, (_SIGNED, _UNIT), ()),
+    "deviation": (model.deviation, (_UNIT, _SIGNED, _UNIT), ()),
+    "demand": (model.demand, (_UNIT, _UNIT, _UNIT), ()),
+    "drift": (model.drift, (_UNIT, _UNIT, _UNIT), ()),
+    "lyapunov_rate": (stability.lyapunov_rate, (_UNIT,), (st.sampled_from([0.0, 1.0]), _UNIT)),
+}
+
+
+@settings(max_examples=25)
+@given(params=admissible_params(), data=st.data())
+def test_scalar_array_polymorphism(params, data):
+    # a 0-d result is a Python float, bit-equal to the one-element array call; arrays keep shape
+    for name, (fn, broadcast, fixed) in _SCALAR_RULE.items():
+        rest = [data.draw(s) for s in fixed]
+
+        def call(*args):
+            return fn(params, *args, *rest)
+
+        values = [data.draw(s) for s in broadcast]
+        one = call(*(np.array([v]) for v in values))
+        assert isinstance(one, np.ndarray) and one.shape == (1,), name
+        for form in (float, np.float64, np.array):
+            got = call(*(form(v) for v in values))
+            assert type(got) is float, (name, form)
+            assert np.float64(got).tobytes() == one[0].tobytes(), (name, form)
+        shape = data.draw(st.sampled_from([(0,), (3,), (2, 3)]))
+        got = call(*(data.draw(arrays(np.float64, shape, elements=s)) for s in broadcast))
+        assert got.shape == shape, name
+        # one array among scalars makes the result an array of its shape
+        for i in range(len(values)):
+            mixed = call(*(np.full(shape, v) if j == i else v for j, v in enumerate(values)))
+            assert isinstance(mixed, np.ndarray) and mixed.shape == shape, (name, i)
+            assert (mixed == one[0]).all(), (name, i)
 
 
 def test_validate_reference_ok(p):
