@@ -1,14 +1,13 @@
-"""Stability certificates: the result type and the one grid sampling policy.
+"""Stability certificates: the result type and the one packager of cell bounds.
 
-The stochastic certificates check a Lyapunov rate on the same sample: a
-uniform grid of ``grid_n`` >= ``MIN_GRID_N`` points on [0, 1], minus the ball
-of radius ``EXCLUSION_RADIUS`` around x* (where every rate vanishes), minus
-whatever the claim's ``keep`` predicate drops.  :func:`grid_certificate` owns
-that sample and the margin, pass and failure-interval packaging; the
-certifiers in ``stability`` only supply x*, the rate and the predicate.  The
-deterministic claim samples nothing (see ``equilibria.certify_deterministic``).
-:func:`empty_certificate` builds every certificate that checks no point: the
-vacuous pass on an empty region and the failed claim with nothing to check.
+The stochastic certificates bound a Lyapunov rate from above on cells that
+tile their region (see ``stability``).  :func:`cell_certificate` turns those
+bounds into a margin, a verdict and failure intervals; the certifiers in
+``stability`` only supply the cells and their bounds.  ``grid_n`` >=
+``MIN_GRID_N`` counts the cells.  The deterministic claim needs no cells
+(see ``equilibria.certify_deterministic``).  :func:`empty_certificate`
+builds every certificate that checks nothing: the vacuous pass on an empty
+region and the failed claim with nothing to check.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: half-width of the ball around x* excluded from certification grids
-EXCLUSION_RADIUS = 1e-6
-#: fewest grid points a certifier accepts
+#: fewest cells (``grid_n``) a certifier accepts
 MIN_GRID_N = 100
 
 
@@ -30,11 +27,12 @@ class StabilityCertificate:
     ``claim`` is one of ``det-asymptotic`` (deterministic asymptotic
     stability), ``stoch-bounded`` (stochastic boundedness outside a noise
     ball) or ``stoch-stable`` (stochastic stability inside a radius).
-    ``margin`` is the worst (largest) value of the checked quantity over the
-    x-interval ``region`` (for ``det-asymptotic``, max df/dx on [0, 1]), so
-    it passes iff margin <= 0.  ``degenerate`` marks a vacuous pass on an
+    ``margin`` is the worst (largest) upper bound of the checked quantity
+    over the x-interval ``region`` (for ``det-asymptotic``, max df/dx on
+    [0, 1]; for the stochastic claims, of LV / (x - x*)^2 on a cell), so it
+    passes iff margin <= 0.  ``degenerate`` marks a vacuous pass on an
     empty region, or a failed claim that has nothing to check.  ``failures``
-    lists x-intervals where the inequality failed, empty when it passes.
+    lists x-intervals where the inequality may fail, empty when it passes.
     """
 
     claim: str
@@ -65,46 +63,29 @@ def failure_intervals(xs, bad) -> tuple[tuple[float, float], ...]:
     return tuple(zip(xs[flips[::2]].tolist(), xs[flips[1::2] - 1].tolist()))
 
 
-def grid_certificate(
-    claim: str,
-    params_hash: str,
-    x_star: float,
-    grid_n: int,
-    rate,
-    keep,
-    threshold: float,
-    region: tuple[float, float] | None = None,
+def cell_certificate(
+    claim: str, params_hash: str, edges, bounds, threshold: float
 ) -> StabilityCertificate:
-    """Check ``rate(xs) <= 0`` on the certificate grid.
+    """Check ``bounds`` <= 0: upper bounds of a rate on the cells between consecutive ``edges``.
 
-    The sample is the ``grid_n``-point uniform grid on [0, 1] outside the
-    exclusion ball around ``x_star``, narrowed by the boolean mask
-    ``keep(xs)``.  An empty sample passes vacuously and is flagged
-    degenerate.  ``region`` defaults to the span of the sample;
+    ``margin`` is the largest bound, ``region`` the span of the cells and
+    ``failures`` the cells whose bound is positive, merged where they touch;
     ``threshold`` is reported as given.
     """
-    xs = np.linspace(0.0, 1.0, grid_n)
-    xs = xs[np.abs(xs - x_star) > EXCLUSION_RADIUS]
-    xs = xs[keep(xs)]
-    if xs.size == 0:
-        return empty_certificate(claim, params_hash, x_star, threshold, passed=True)
-    values = rate(xs)
-    margin = float(np.max(values))
+    if edges[0] > edges[-1]:  # cells ascending in x
+        edges, bounds = edges[::-1], bounds[::-1]
+    margin = float(np.max(bounds))
+    ends = np.column_stack((edges[:-1], edges[1:])).ravel()  # each cell as its two ends
     return StabilityCertificate(
-        claim=claim,
-        params_hash=params_hash,
-        region=(float(xs[0]), float(xs[-1])) if region is None else region,
-        threshold=threshold,
-        margin=margin,
-        passed=margin <= 0.0,
-        failures=failure_intervals(xs, values > 0.0),
+        claim, params_hash, (float(edges[0]), float(edges[-1])), threshold, margin,
+        passed=margin <= 0.0, failures=failure_intervals(ends, (bounds > 0.0).repeat(2)),
     )
 
 
 def empty_certificate(
     claim: str, params_hash: str, x_star: float, threshold: float, passed: bool
 ) -> StabilityCertificate:
-    """A degenerate certificate that checks no point: margin -inf if it passes, else +inf."""
+    """A degenerate certificate that checks nothing: margin -inf if it passes, else +inf."""
     return StabilityCertificate(
         claim=claim,
         params_hash=params_hash,

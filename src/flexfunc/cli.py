@@ -75,16 +75,20 @@ def _load_config(path: str) -> dict:
 # returns the checked value, or raises ConfigError naming the key.
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)`` for a config value that must be a JSON number.
+def _number(value, name: str, kind=float, what: str = "number"):
+    """``kind(value)`` for a config value that must be a JSON number a double can hold.
 
-    Booleans and other types are a ConfigError, and so, for ``kind=int``,
-    are fractional and non-finite values: they are never truncated.
+    Booleans and other types are a ConfigError saying ``name`` must be a
+    ``what``, and so are integers past the largest double (``float`` would
+    overflow) and, for ``kind=int``, fractional and non-finite values: they
+    are never truncated.
     """
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    what = "number with an integer value" if kind is int else what
     if not is_number or (kind is int and value % 1 != 0):  # nan % 1 and inf % 1 are nan
-        what = "number with an integer value" if kind is int else "number"
         raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # exact int-float comparison
+        raise ConfigError(f"{name} must be within the range of a double, got {len(str(abs(value)))} digits")
     return kind(value)
 
 
@@ -135,10 +139,10 @@ def _corner(value, name: str) -> float:
 
 
 def _positive(value, name: str) -> float:
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and math.isfinite(value) and value > 0):
+    number = _number(value, name, what="positive number")
+    if not (math.isfinite(number) and number > 0):
         raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _text(value, name: str) -> str:

@@ -24,15 +24,16 @@ _TILE = 64  # paths per stream
 _CHUNK = 128  # time steps per noise block; bounds its memory
 
 
-def check_seed(seed: int) -> int:
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` as an int; a ValueError naming ``name`` unless it is an unsigned 64-bit integer."""
     if int(seed) != seed or not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
     return int(seed)
 
 
 def tile_stream(master_seed: int, tile: int) -> np.random.Generator:
     """The stream of paths ``64 tile`` to ``64 tile + 63``, keyed by (master_seed, tile), on Philox."""
-    key = np.array([check_seed(master_seed), check_seed(tile)], dtype=np.uint64)
+    key = np.array([check_seed(master_seed), check_seed(tile, "tile index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -47,7 +48,7 @@ def normal_blocks(master_seed: int, paths: range, n_steps: int, rows: int):
     """
     if paths.step != 1 or not paths:
         raise ValueError(f"paths must be a nonempty range with step 1, got {paths!r}")
-    start, stop = check_seed(paths.start), check_seed(paths.stop - 1) + 1
+    start, stop = check_seed(paths.start, "path index"), check_seed(paths.stop - 1, "path index") + 1
     tiles = []  # (stream, its columns of the block, their columns of its slab)
     for t in range(start // _TILE, -(-stop // _TILE)):
         lo, hi = max(start, t * _TILE), min(stop, (t + 1) * _TILE)
@@ -69,7 +70,7 @@ def normals(master_seed: int, paths, n: int) -> np.ndarray:
     Every tile the paths touch is drawn once, as (n, ``_TILE``), and each
     path's row is its column of that draw.
     """
-    paths = [check_seed(p) for p in paths]
+    paths = [check_seed(p, "path index") for p in paths]
     drawn = {t: tile_stream(master_seed, t).standard_normal((n, _TILE)) for t in {p // _TILE for p in paths}}
     return np.array([drawn[p // _TILE][:, p % _TILE] for p in paths]).reshape(len(paths), n)
 

@@ -1,18 +1,22 @@
 """Stochastic stability certificates for the corner equilibria.
 
 All checks revolve around the generator of the diffusion applied to the
-quadratic Lyapunov function V = (x - x*)^2 / 2:
+quadratic Lyapunov function V = (x - x*)^2 / 2.  In the distance d = |x - x*|,
 
-    LV(x) = (1/C) dD(x, u*, B*) (x - x*) + 0.5 x^2 (1 - x)^2 sigma_x^2.
+    LV = -K tanh(k z / 2) d + 0.5 sigma_x^2 (d (1 - d))^2,   z = (2 x* - 1)(f(x) + g(u*)),
 
-The drift part is damping (the demand-change sign law, exact when max df/dx
-<= 0), the diffusion part is destabilizing but bounded by sigma_x^2 / 32.
-With the worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*), LV <= 0
-is guaranteed wherever |ell(f(x) + g(u*))| |x - x*| exceeds
-sigma_x^2 / (32 eta1) (boundedness outside a noise ball) and, for
-sigma_x^2 <= 2 eta1 theta, on the whole ball |x - x*| <= min(1, 2 eta1 theta
-/ sigma_x^2) (stability).  These certificates check the inequalities at the
-points of a fine grid, not between them: a check, not a proof.
+with K = lambda / C times the demand slack on x*'s side.  With the worst-case
+drift gain eta1 = (lambda / C) min(B*, 1 - B*), LV <= 0 is expected wherever
+|ell(f(x) + g(u*))| d exceeds sigma_x^2 / (32 eta1) (boundedness outside a
+noise ball) and on the ball d <= min(1, 2 eta1 theta / sigma_x^2) (stability).
+Both claims bound LV / d^2 from above on cells of d that tile their region,
+so a pass is a proof.  ``validate`` proves f decreasing, so z grows with d:
+on a cell [a, b], LV / d <= -K tanh(k z(a) / 2) + 0.5 sigma_x^2 max d (1 - d)^2.
+On the first cell [0, 1e-8 R], z = z(x*) + d q(d) with q the mean of -f'
+between x* and x, and tanh is concave, so LV / d^2 <= sigma_x^2 / 2 -
+K (k / 2) q_min tanh(w) / w, with w = k z / 2 at its far end.  That is the
+exact local condition sigma_x^2 < 2 kappa: no ball around x* is left out.  A
+corner with z(x*) < 0 is no root of the drift, and its first cell fails.
 
 Only the corner states (x*, u*) in {(1, 0), (0, 1)} qualify: these are the
 points where drift and diffusion vanish together.
@@ -20,16 +24,14 @@ points where drift and diffusion vanish together.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .certificates import MIN_GRID_N, StabilityCertificate, empty_certificate, grid_certificate
+from .certificates import MIN_GRID_N, StabilityCertificate, cell_certificate, empty_certificate
 from .equilibria import CORNERS, _halve
-from .model import FlexParams, _out, charge_response, check_unit, drift, logistic_response, price_response
-
-#: largest sigma_x that max_stable_noise reports
-SIGMA_CAP = 1e6
+from .model import (
+    FlexParams, _charge_slope, _out, charge_response, check_unit, drift, logistic_response,
+    price_response,
+)
 
 
 def _corner(u_star: float) -> float:
@@ -60,6 +62,33 @@ def min_drift_gain(params: FlexParams, B_star: float) -> float:
     return params.lam / params.C * min(b, 1.0 - b)
 
 
+def _cells(params: FlexParams, u_star: float, B_star: float, radius: float, grid_n: int):
+    """A claim's cells in d = |x - x*|: [0, 1e-8 radius], then ``grid_n`` geometric to ``radius``.
+
+    Returns their edges in x, |ell| d at each edge and an upper bound of
+    LV / d^2 on each cell.  An edge is the float nearest its x, so no float
+    x of a cell lies nearer x* than its near edge, where z is least.
+    """
+    x_star = _corner(u_star)
+    sign = 2.0 * x_star - 1.0  # x = x* - sign d, z = sign (f + g)
+    d = radius * np.concatenate(([0.0], np.logspace(-8.0, 0.0, grid_n + 1)))
+    xs = x_star - sign * d
+    z = sign * (charge_response(params, xs) + price_response(params, u_star))
+    ell = logistic_response(params, z)
+    gain = params.lam / params.C * (1.0 - B_star if x_star == 1.0 else B_star)
+    h = np.clip(1.0 / 3.0, d[1:-1], d[2:])  # where d (1 - d)^2 peaks on each cell
+    rate = -gain * ell[1:-1] + 0.5 * params.sigma_x**2 * h * (1.0 - h) ** 2  # bounds LV / d
+    near = np.where(rate > 0.0, d[1:-1], d[2:])  # LV / d^2 <= rate / near on the cell
+    with np.errstate(over="ignore"):  # near may underflow, below normal floats or to 0
+        bounds = np.divide(rate, near, out=np.where(rate > 0.0, np.inf, 0.0), where=near > 0.0)
+    slope = _charge_slope(params.alpha)  # q >= -f'(x*) - d max|f''| / 2, |f''| <= 2 sum|slope'|
+    q_min = max(0.0, -np.polyval(slope, sign) - d[1] * np.abs(np.polyder(slope)).sum())
+    w = 0.5 * params.k * z[1]
+    secant = np.tanh(w) / w if w > 0.0 else 1.0  # tanh(v) >= secant v for 0 <= v <= w
+    c = 0.5 * params.sigma_x**2 - gain * 0.5 * params.k * q_min * secant
+    return xs, np.abs(ell) * d, np.concatenate(([c if z[0] >= 0.0 else np.inf], bounds))
+
+
 def certify_bounded(
     params: FlexParams,
     u_star: float,
@@ -68,10 +97,12 @@ def certify_bounded(
 ) -> StabilityCertificate:
     """Noise-ball boundedness certificate at the corner equilibrium of u*.
 
-    Checks LV(x) <= 0 at every grid point where the damping condition
-    |ell(f(x) + g(u*))| |x - x*| >= sigma_x^2 / (32 eta1) holds.  B* at 0
-    or 1 gives eta1 = 0 and an empty condition region; that degenerate
-    certificate is flagged and does not pass.
+    Bounds LV on every cell of [0, 1] in d whose far end meets the damping
+    condition |ell(f(x) + g(u*))| |x - x*| >= sigma_x^2 / (32 eta1); that
+    product grows with d, so these cells cover the condition's region.
+    No such cell is a vacuous pass, flagged degenerate.  B* at 0 or 1 gives
+    eta1 = 0 and an empty condition region; that degenerate certificate is
+    flagged and does not pass.
     """
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if eta1 == 0.0:
@@ -79,24 +110,20 @@ def certify_bounded(
             "stoch-bounded", params.params_hash(), x_star, np.inf, passed=False
         )
     threshold = params.sigma_x**2 / (32.0 * eta1)
-    g = price_response(params, u_star)
-
-    def damped(xs):
-        damping = np.abs(logistic_response(params, charge_response(params, xs) + g))
-        return damping * np.abs(xs - x_star) >= threshold
-
-    return grid_certificate(
-        "stoch-bounded", params.params_hash(), x_star, grid_n,
-        lambda xs: lyapunov_rate(params, xs, u_star, b), keep=damped, threshold=threshold,
-    )
+    xs, damping, bounds = _cells(params, u_star, b, 1.0, grid_n)
+    kept = damping[1:] >= threshold
+    if not kept.any():
+        return empty_certificate("stoch-bounded", params.params_hash(), x_star, threshold, passed=True)
+    first = int(np.argmax(kept))
+    return cell_certificate("stoch-bounded", params.params_hash(), xs[first:], bounds[first:], threshold)
 
 
 def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
-    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x = 0."""
+    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x^2 is 0 as a float."""
     eta1 = min_drift_gain(params, B_star)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    return 1.0 if params.sigma_x == 0.0 else min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
+    return 1.0 if params.sigma_x**2 == 0.0 else min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
 
 
 def certify_stable(
@@ -108,10 +135,8 @@ def certify_stable(
 ) -> StabilityCertificate:
     """Stability certificate on the ball |x - x*| <= stable_radius.
 
-    The reported threshold is the certified radius.  A radius smaller than
-    the grid exclusion gives an empty punctured ball; that certificate
-    passes vacuously and is flagged degenerate (theta -> 0 limit).  B* at 0
-    or 1 gives eta1 = 0: degenerate and failed.
+    The reported threshold is the certified radius.  B* at 0 or 1 gives
+    eta1 = 0: degenerate and failed.
     """
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     r = stable_radius(params, b, theta)
@@ -119,13 +144,8 @@ def certify_stable(
         return empty_certificate(
             "stoch-stable", params.params_hash(), x_star, 0.0, passed=False
         )
-    return grid_certificate(
-        "stoch-stable", params.params_hash(), x_star, grid_n,
-        lambda xs: lyapunov_rate(params, xs, u_star, b),
-        keep=lambda xs: np.abs(xs - x_star) <= r,
-        threshold=r,
-        region=(max(0.0, x_star - r), min(1.0, x_star + r)),
-    )
+    xs, _, bounds = _cells(params, u_star, b, r, grid_n)
+    return cell_certificate("stoch-stable", params.params_hash(), xs, bounds, threshold=r)
 
 
 def radius_meets_target(radius: float, target_radius: float) -> bool:
@@ -144,10 +164,10 @@ def max_stable_noise(
     """Largest sigma_x whose stability certificate covers ``target_radius``.
 
     The radius formula alone caps sigma_x at sqrt(2 eta1 theta / target)
-    (sqrt(2 eta1 theta) at target 1).  That bound, capped at ``SIGMA_CAP``,
-    is probed once and returned if it passes, with a warning if it is the
-    cap.  Otherwise the pointwise LV check binds and interval halving from
-    0 returns the passing one of two adjacent floats at the boundary.
+    (sqrt(2 eta1 theta) at target 1).  That bound is probed once and
+    returned if it passes.  Otherwise the LV bound binds and interval
+    halving from 0 returns the lower of two adjacent floats at the
+    boundary: it passes unless sigma_x = 0 fails too, and then it is 0.
     """
     _, _, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:
@@ -161,12 +181,7 @@ def max_stable_noise(
         cert = certify_stable(params.with_sigma(sigma), u_star, B_star, theta, grid_n)
         return cert.passed and radius_meets_target(cert.threshold, target_radius)
 
-    sigma = min(float(np.sqrt(2.0 * eta1 * theta / target_radius)), SIGMA_CAP)
+    sigma = float(np.sqrt(2.0 * eta1 * theta / target_radius))
     if not passes(sigma):
         sigma, _ = _halve(passes, 0.0, sigma)
-    elif sigma == SIGMA_CAP:
-        warnings.warn(
-            f"sigma_max exceeds the search cap {SIGMA_CAP}; returning the cap",
-            stacklevel=2,
-        )
     return sigma

@@ -706,10 +706,38 @@ def test_certify_prints_the_failure_intervals_of_a_failed_claim(tmp_path, capsys
     assert lines[failed + 1].startswith(prefix)
     printed = ast.literal_eval(f"[{lines[failed + 1][len(prefix):]}]")
     cert = stability.certify_stable(FlexParams.from_dict(body["params"]), 0.0, 0.9)
-    assert cert.failures == ((0.9665, 0.9865),)
+    # the failing cells: a superset of where LV > 0, [0.9665, 0.9865] on a 2001-point grid
+    assert cert.failures == ((0.9663299663299664, 0.9947561851538724),)
     assert [tuple(interval) for interval in printed] == list(cert.failures)  # repr floats: exact
     # the passing claims print no failure line
     assert sum(" fails on " in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("sigma_x", [1e-170, 1e-300, 5e-324])
+def test_certify_takes_a_noise_whose_square_underflows(tmp_path, sigma_x):
+    # sigma_x**2 is 0 as a float: the certified radius is the noiseless 1, not a division by zero
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    body = json.loads((configs / "certify.json").read_text(encoding="utf-8"))
+    body["params"]["sigma_x"] = sigma_x
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / body["certify"]["output"]).read_text(encoding="utf-8"))
+    assert doc["stable_radius"] == 1.0
+
+
+def test_certify_fails_the_touching_alpha_next_to_the_corner(tmp_path, capsys):
+    # f'(1) = 0 leaves no damping to first order at x* = 1, so LV > 0 on (1 - 3.7e-4, 1);
+    # that gap lies between the points of a 2001-point grid and x*
+    body = {
+        "params": dict(REF_PARAMS, alpha=[-0.5, 1.0, 0.0, 0.0], sigma_x=0.03),
+        "certify": {"u_star": 0.0, "B_star": 0.4, "output": "cert.json"},
+    }
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    prefix = "stoch-stable fails on "
+    failed = [line[len(prefix):] for line in lines if line.startswith(prefix)]
+    assert len(failed) == 1
+    intervals = ast.literal_eval(f"[{failed[0]}]")
+    assert intervals[-1][0] < 1.0 - 3.7e-4 and intervals[-1][1] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -891,6 +919,28 @@ def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f'"{key}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,block,top,key",
+    [
+        ("density", _small("density", u=10**400), {}, "u"),
+        ("simulate", _small("simulate", t_end=10**400), {}, "t_end"),
+        ("density", _small("density", n_cells=10**400), {}, "n_cells"),
+        ("examples", _small("examples", n_steps=10**400), {}, "n_steps"),
+        ("density", _small("density"), {"params": dict(REF_PARAMS, C=10**400)}, "C"),
+    ],
+    ids=["float-key", "positive-key", "integer-key", "count-key", "params-key"],
+)
+def test_an_integer_past_the_largest_double_is_refused_before_any_output(
+    tmp_path, command, block, top, key, capsys
+):
+    # a 401-digit integer: float() of it would overflow
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, command: block, **top})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f'"{key}" must be within the range of a double' in capsys.readouterr().err
     assert not out.exists()
 
 

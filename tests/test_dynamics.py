@@ -354,6 +354,31 @@ def test_path_normals_contract():
         rng.check_seed(-1)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: rng.path_normals(1, 2**64, 4),
+        lambda: rng.path_normals(1, -1, 4),
+        lambda: rng.normals(1, [2**64], 3),
+        lambda: next(rng.normal_blocks(1, range(2**64 - 1, 2**64 + 1), 4, 2)),
+    ],
+    ids=["path_normals-2**64", "path_normals-minus-1", "normals-2**64", "normal_blocks-past-2**64"],
+)
+def test_a_bad_path_index_is_blamed_not_the_seed(draw):
+    with pytest.raises(ValueError, match="^path index must be an unsigned 64-bit integer"):
+        draw()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda: rng.path_normals(-1, 3, 4), lambda: rng.normals(2**64, [3], 3)],
+    ids=["path_normals-minus-1", "normals-2**64"],
+)
+def test_a_bad_seed_is_blamed_as_the_seed(draw):
+    with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer"):
+        draw()
+
+
 @pytest.mark.parametrize("seed, path", [(7, 5), (0, 0), (2**64 - 1, 2**64 - 1)])
 def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     whole = rng.path_normals(seed, path, 2000)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexfunc import dynamics, model, stability
 from flexfunc.model import FlexParams, reference_params
+from strategies import admissible_params
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +111,11 @@ def test_stable_certificate_small_ball(p):
 def test_stable_degenerate_cases(p):
     c1 = stability.certify_stable(p, 1.0, 1.0)
     assert c1.degenerate and not c1.passed
-    # ball below grid resolution: vacuous pass, flagged
+    # a radius of 1.35e-5 is still tiled by cells: sigma^2 / 2 > kappa fails the one at x*
     c2 = stability.certify_stable(p.with_sigma(100.0), 0.0, 0.4)
-    assert c2.degenerate and c2.passed
-    assert c2.margin == -np.inf
+    assert not c2.degenerate and not c2.passed
+    assert 0.0 < c2.margin < np.inf
+    assert c2.failures[-1][1] == 1.0
 
 
 def test_sigma_max_formula_value(p):
@@ -139,20 +143,11 @@ def test_sigma_max_certifies_below(p):
         assert stability.stable_radius(p.with_sigma(frac * smax), 0.4, 0.5) >= 0.3
 
 
-def test_sigma_max_cap_warning(p):
-    # tiny target: the formula bound explodes past the cap and the
-    # certificate ball falls below grid resolution (vacuous pass)
-    # (the formula bound at target 1e-13 is 1.16e6)
-    with pytest.warns(UserWarning, match="cap"):
-        smax = stability.max_stable_noise(p, 0.0, 0.4, target_radius=1e-13)
-    assert smax == stability.SIGMA_CAP
-
-
 def test_sigma_max_search_when_the_formula_bound_fails(monkeypatch):
-    # f'(1) = 0: at u* = 0, B* = 0.4 the formula bound 0.36699 fails its LV
-    # check by 2.5e-5, so interval halving from 0 narrows sigma_max (~0.034833)
-    # down to adjacent floats, never probing 0 or the bound again.  Sound
-    # certificates (ROADMAP item 2) will move this value.
+    # f'(1) = 0: at u* = 0, B* = 0.4 no damping is left to first order at x* = 1,
+    # so the cell at x* fails every sigma whose sigma^2 / 2 is a positive float, and
+    # interval halving from the formula bound 0.36699 narrows sigma_max (~2.7e-162)
+    # down to adjacent floats, never probing 0 or the bound again.
     q = FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0))
     probes = []
     certify = stability.certify_stable
@@ -198,18 +193,12 @@ def test_certified_ball_contains_paths(p):
     assert np.median(dist, axis=0).max() < r
 
 
-# Both pass at the grid certificate yet LV > 0 between its points: ROADMAP
-# item 2 (sound stochastic certificates) turns them into failures and
-# removes the markers.
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="a grid check passes although LV > 0 off the grid"
-)
 @pytest.mark.parametrize(
     "params",
     [
-        # LV reaches 9.2e-12 > 0 on (1 - 3.7e-4, 1), between the last grid point and x*
+        # LV reaches 9.2e-12 > 0 on (1 - 3.7e-4, 1), next to x*
         FlexParams(alpha=(-0.5, 1.0, 0.0, 0.0), sigma_x=0.03),
-        # a radius of 1.35e-5 holds no grid point: a vacuous pass, with LV up to 9.1e-7
+        # a radius of 1.35e-5, with LV up to 9.1e-7 inside it
         reference_params(100.0),
     ],
     ids=["touching-alpha", "vacuous-ball"],
@@ -221,3 +210,38 @@ def test_a_passing_stable_certificate_has_no_positive_rate_inside_its_radius(par
     xs = np.concatenate((x_star - d, x_star + d))
     xs = xs[(xs >= 0.0) & (xs <= 1.0)]
     assert not cert.passed or stability.lyapunov_rate(params, xs, 0.0, 0.4).max() <= 0.0
+
+
+def _points_in(lo: float, hi: float, x_star: float, n: int = 50_000) -> np.ndarray:
+    """``n`` log-spaced points from 1e-12 to 1 away from x* and ``n`` uniform ones, within [lo, hi]."""
+    away = x_star - (2.0 * x_star - 1.0) * np.geomspace(1e-12, 1.0, n)
+    xs = np.concatenate((away, np.linspace(lo, hi, n)))
+    return xs[(lo <= xs) & (xs <= hi)]
+
+
+@settings(max_examples=60)
+@given(
+    admissible_params(),
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 5.0),
+)
+def test_a_passing_stochastic_certificate_has_no_positive_rate_in_its_region(params, u_star, B_star, sigma):
+    p = params.with_sigma(sigma)
+    x_star = 1.0 - u_star
+    stable = stability.certify_stable(p, u_star, B_star)
+    bounded = stability.certify_bounded(p, u_star, B_star)
+    # the stable claim covers its whole ball; the bounded one the cells it checked
+    regions = ((stable, max(0.0, x_star - stable.threshold), min(1.0, x_star + stable.threshold)),
+               (bounded, *bounded.region))
+    for cert, lo, hi in regions:
+        if cert.passed:
+            assert stability.lyapunov_rate(p, _points_in(lo, hi, x_star), u_star, B_star).max() <= 0.0, cert
+
+
+@pytest.mark.parametrize("B_star,dense", [(0.4, 2.42464), (0.9, 0.969563)])
+def test_sigma_max_at_a_small_target_stays_below_the_dense_boundary(B_star, dense):
+    # dense: the largest sigma with LV <= 0 at 400k log-spaced and uniform points of its ball.
+    # A 2001-point grid returned 2.425951 and 0.970129, where LV > 0 between two grid points.
+    smax = stability.max_stable_noise(reference_params(), 0.0, B_star, target_radius=0.01)
+    assert 0.99 * dense <= smax <= dense
