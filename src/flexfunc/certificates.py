@@ -55,12 +55,12 @@ class StabilityCertificate:
         }
 
 
-def failure_intervals(xs, bad) -> tuple[tuple[float, float], ...]:
-    """Group a boolean failure mask over sorted sample points into intervals."""
-    xs = np.asarray(xs, dtype=float)
+def failure_intervals(edges, bad) -> tuple[tuple[float, float], ...]:
+    """Merge runs of bad cells between sorted ``edges``: cells a..b-1 give [edges[a], edges[b]]."""
+    edges = np.asarray(edges, dtype=float)
     padded = np.concatenate(([False], np.asarray(bad, dtype=bool), [False]))
-    flips = np.flatnonzero(np.diff(padded))  # alternately the first bad and the first good index
-    return tuple(zip(xs[flips[::2]].tolist(), xs[flips[1::2] - 1].tolist()))
+    flips = np.flatnonzero(np.diff(padded))  # alternately the first bad and the first good cell
+    return tuple(zip(edges[flips[::2]].tolist(), edges[flips[1::2]].tolist()))
 
 
 def cell_certificate(
@@ -75,10 +75,9 @@ def cell_certificate(
     if edges[0] > edges[-1]:  # cells ascending in x
         edges, bounds = edges[::-1], bounds[::-1]
     margin = float(np.max(bounds))
-    ends = np.column_stack((edges[:-1], edges[1:])).ravel()  # each cell as its two ends
     return StabilityCertificate(
         claim, params_hash, (float(edges[0]), float(edges[-1])), threshold, margin,
-        passed=margin <= 0.0, failures=failure_intervals(ends, (bounds > 0.0).repeat(2)),
+        passed=margin <= 0.0, failures=failure_intervals(edges, bounds > 0.0),
     )
 
 

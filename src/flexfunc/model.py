@@ -155,8 +155,7 @@ def charge_rise_intervals(params: FlexParams) -> tuple[tuple[float, float], ...]
     d1 = _charge_slope(params.alpha)
     xs = 0.5 * np.unique(_unit_roots(d1)) + 0.5
     rising = np.polyval(d1, xs[:-1] + xs[1:] - 1.0) > 0.0  # each piece's sign at its midpoint
-    # each piece as its two ends, so failure_intervals merges runs of rising pieces
-    return failure_intervals(np.column_stack((xs[:-1], xs[1:])).ravel(), rising.repeat(2))
+    return failure_intervals(xs, rising)
 
 
 def price_response(params: FlexParams, u):

@@ -3,20 +3,21 @@
 All checks revolve around the generator of the diffusion applied to the
 quadratic Lyapunov function V = (x - x*)^2 / 2.  In the distance d = |x - x*|,
 
-    LV = -K tanh(k z / 2) d + 0.5 sigma_x^2 (d (1 - d))^2,   z = (2 x* - 1)(f(x) + g(u*)),
+    LV = -K tanh(k z / 2) d + 0.5 sigma_x^2 (d (1 - d))^2,   z = (2 x* - 1)(f(x) - f(x*)),
 
-with K = lambda / C times the demand slack on x*'s side.  With the worst-case
-drift gain eta1 = (lambda / C) min(B*, 1 - B*), LV <= 0 is expected wherever
-|ell(f(x) + g(u*))| d exceeds sigma_x^2 / (32 eta1) (boundedness outside a
-noise ball) and on the ball d <= min(1, 2 eta1 theta / sigma_x^2) (stability).
-Both claims bound LV / d^2 from above on cells of d that tile their region,
-so a pass is a proof.  ``validate`` proves f decreasing, so z grows with d:
-on a cell [a, b], LV / d <= -K tanh(k z(a) / 2) + 0.5 sigma_x^2 max d (1 - d)^2.
-On the first cell [0, 1e-8 R], z = z(x*) + d q(d) with q the mean of -f'
-between x* and x, and tanh is concave, so LV / d^2 <= sigma_x^2 / 2 -
-K (k / 2) q_min tanh(w) / w, with w = k z / 2 at its far end.  That is the
-exact local condition sigma_x^2 < 2 kappa: no ball around x* is left out.  A
-corner with z(x*) < 0 is no root of the drift, and its first cell fails.
+with K = lambda / C times the demand slack on x*'s side.  z is f(x) + g(u*) of
+the model ``validate`` proves, where g(u*) = -f(x*), however their float sum
+rounds.  With the worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*),
+LV <= 0 is expected wherever ell(z) d exceeds sigma_x^2 / (32 eta1)
+(boundedness outside a noise ball) and on the ball
+d <= min(1, 2 eta1 theta / sigma_x^2) (stability).  Both claims bound
+LV / d^2 from above on cells of d that tile their region, so a pass is a
+proof.  ``validate`` proves f decreasing, so z >= 0 grows with d: on a cell
+[a, b], LV / d <= -K tanh(k z(a) / 2) + 0.5 sigma_x^2 max d (1 - d)^2.  On the
+first cell [0, 1e-8 R], z = d q(d) with q the mean of -f' between x* and x,
+and tanh is concave, so LV / d^2 <= sigma_x^2 / 2 - K (k / 2) q_min tanh(w) / w,
+with w = k z / 2 at its far end.  That is the exact local condition
+sigma_x^2 < 2 kappa: no ball around x* is left out.
 
 Only the corner states (x*, u*) in {(1, 0), (0, 1)} qualify: these are the
 points where drift and diffusion vanish together.
@@ -30,7 +31,6 @@ from .certificates import MIN_GRID_N, StabilityCertificate, cell_certificate, em
 from .equilibria import CORNERS, _halve
 from .model import (
     FlexParams, _charge_slope, _out, charge_response, check_unit, drift, logistic_response,
-    price_response,
 )
 
 
@@ -50,10 +50,10 @@ def _corner_claim(params: FlexParams, u_star: float, B_star: float, grid_n: int)
 
 
 def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
-    """LV(x) for V = (x - x*)^2 / 2 at the corner equilibrium of u*."""
+    """LV of V = (x - x*)^2 / 2 at u*'s corner, with the float f(x) + g(u*): the float-model oracle."""
     xs = np.asarray(x, dtype=float)
     drift_part = drift(params, xs, u_star, check_unit("B_star", B_star)) * (xs - _corner(u_star))
-    return _out(drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * params.sigma_x**2)
+    return _out(drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * (params.sigma_x * params.sigma_x))
 
 
 def min_drift_gain(params: FlexParams, B_star: float) -> float:
@@ -65,19 +65,21 @@ def min_drift_gain(params: FlexParams, B_star: float) -> float:
 def _cells(params: FlexParams, u_star: float, B_star: float, radius: float, grid_n: int):
     """A claim's cells in d = |x - x*|: [0, 1e-8 radius], then ``grid_n`` geometric to ``radius``.
 
-    Returns their edges in x, |ell| d at each edge and an upper bound of
+    Returns their edges in x, ell d at each edge and an upper bound of
     LV / d^2 on each cell.  An edge is the float nearest its x, so no float
     x of a cell lies nearer x* than its near edge, where z is least.
     """
     x_star = _corner(u_star)
-    sign = 2.0 * x_star - 1.0  # x = x* - sign d, z = sign (f + g)
+    sign = 2.0 * x_star - 1.0  # x = x* - sign d, z = sign (f(x) - f(x*))
     d = radius * np.concatenate(([0.0], np.logspace(-8.0, 0.0, grid_n + 1)))
     xs = x_star - sign * d
-    z = sign * (charge_response(params, xs) + price_response(params, u_star))
+    fx = charge_response(params, xs)
+    z = sign * (fx - fx[0])  # xs[0] = x*, so z(x*) = 0 exactly
     ell = logistic_response(params, z)
+    sigma2 = params.sigma_x * params.sigma_x
     gain = params.lam / params.C * (1.0 - B_star if x_star == 1.0 else B_star)
     h = np.clip(1.0 / 3.0, d[1:-1], d[2:])  # where d (1 - d)^2 peaks on each cell
-    rate = -gain * ell[1:-1] + 0.5 * params.sigma_x**2 * h * (1.0 - h) ** 2  # bounds LV / d
+    rate = -gain * ell[1:-1] + 0.5 * sigma2 * h * (1.0 - h) ** 2  # bounds LV / d
     near = np.where(rate > 0.0, d[1:-1], d[2:])  # LV / d^2 <= rate / near on the cell
     with np.errstate(over="ignore"):  # near may underflow, below normal floats or to 0
         bounds = np.divide(rate, near, out=np.where(rate > 0.0, np.inf, 0.0), where=near > 0.0)
@@ -85,8 +87,8 @@ def _cells(params: FlexParams, u_star: float, B_star: float, radius: float, grid
     q_min = max(0.0, -np.polyval(slope, sign) - d[1] * np.abs(np.polyder(slope)).sum())
     w = 0.5 * params.k * z[1]
     secant = np.tanh(w) / w if w > 0.0 else 1.0  # tanh(v) >= secant v for 0 <= v <= w
-    c = 0.5 * params.sigma_x**2 - gain * 0.5 * params.k * q_min * secant
-    return xs, np.abs(ell) * d, np.concatenate(([c if z[0] >= 0.0 else np.inf], bounds))
+    c = 0.5 * sigma2 - gain * 0.5 * params.k * q_min * secant
+    return xs, ell * d, np.concatenate(([c], bounds))
 
 
 def certify_bounded(
@@ -98,18 +100,16 @@ def certify_bounded(
     """Noise-ball boundedness certificate at the corner equilibrium of u*.
 
     Bounds LV on every cell of [0, 1] in d whose far end meets the damping
-    condition |ell(f(x) + g(u*))| |x - x*| >= sigma_x^2 / (32 eta1); that
-    product grows with d, so these cells cover the condition's region.
+    condition ell(z) |x - x*| >= sigma_x^2 / (32 eta1); that product grows
+    with d, so these cells cover the condition's region.
     No such cell is a vacuous pass, flagged degenerate.  B* at 0 or 1 gives
     eta1 = 0 and an empty condition region; that degenerate certificate is
     flagged and does not pass.
     """
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if eta1 == 0.0:
-        return empty_certificate(
-            "stoch-bounded", params.params_hash(), x_star, np.inf, passed=False
-        )
-    threshold = params.sigma_x**2 / (32.0 * eta1)
+        return empty_certificate("stoch-bounded", params.params_hash(), x_star, np.inf, passed=False)
+    threshold = params.sigma_x * params.sigma_x / (32.0 * eta1)  # inf, not OverflowError
     xs, damping, bounds = _cells(params, u_star, b, 1.0, grid_n)
     kept = damping[1:] >= threshold
     if not kept.any():
@@ -119,11 +119,12 @@ def certify_bounded(
 
 
 def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
-    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when sigma_x^2 is 0 as a float."""
+    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when the float sigma_x^2 is 0, 0 when inf."""
     eta1 = min_drift_gain(params, B_star)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    return 1.0 if params.sigma_x**2 == 0.0 else min(1.0, 2.0 * eta1 * theta / params.sigma_x**2)
+    sigma2 = params.sigma_x * params.sigma_x
+    return 1.0 if sigma2 == 0.0 else min(1.0, 2.0 * eta1 * theta / sigma2)
 
 
 def certify_stable(
@@ -136,14 +137,13 @@ def certify_stable(
     """Stability certificate on the ball |x - x*| <= stable_radius.
 
     The reported threshold is the certified radius.  B* at 0 or 1 gives
-    eta1 = 0: degenerate and failed.
+    eta1 = 0, and a sigma_x whose square overflows gives radius 0: both
+    leave no ball to check, and the claim is degenerate and failed.
     """
     x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     r = stable_radius(params, b, theta)
-    if eta1 == 0.0:
-        return empty_certificate(
-            "stoch-stable", params.params_hash(), x_star, 0.0, passed=False
-        )
+    if eta1 == 0.0 or r == 0.0:
+        return empty_certificate("stoch-stable", params.params_hash(), x_star, 0.0, passed=False)
     xs, _, bounds = _cells(params, u_star, b, r, grid_n)
     return cell_certificate("stoch-stable", params.params_hash(), xs, bounds, threshold=r)
 
@@ -167,7 +167,7 @@ def max_stable_noise(
     (sqrt(2 eta1 theta) at target 1).  That bound is probed once and
     returned if it passes.  Otherwise the LV bound binds and interval
     halving from 0 returns the lower of two adjacent floats at the
-    boundary: it passes unless sigma_x = 0 fails too, and then it is 0.
+    boundary, which passes: at sigma_x = 0 no cell's bound is positive.
     """
     _, _, eta1 = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:

@@ -8,41 +8,38 @@ from flexfunc.model import reference_params
 from flexfunc.stability import certify_bounded, certify_stable, max_stable_noise
 
 
-def _loop_intervals(xs, bad):
-    """Run grouping by one pass over the points: the oracle for the mask diff."""
+def _loop_intervals(edges, bad):
+    """Run grouping by one pass over the cells: the oracle for the mask diff."""
     out = []
     start = None
-    prev = None
-    for x, flag in zip(xs, bad):
-        if flag:
-            if start is None:
-                start = x
-            prev = x
-        elif start is not None:
-            out.append((float(start), float(prev)))
+    for i, flag in enumerate(bad):
+        if flag and start is None:
+            start = edges[i]
+        elif not flag and start is not None:
+            out.append((float(start), float(edges[i])))
             start = None
     if start is not None:
-        out.append((float(start), float(prev)))
+        out.append((float(start), float(edges[len(bad)])))
     return tuple(out)
 
 
 @st.composite
 def _masks(draw):
     n = draw(st.integers(0, 60))
-    xs = np.sort(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+    edges = np.sort(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1))))
     kind = draw(st.sampled_from(["random", "none", "all"]))
     if kind == "random":
         bad = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     else:
         bad = np.full(n, kind == "all")
-    return xs, bad
+    return edges, bad
 
 
 @given(_masks())
 def test_failure_intervals_match_loop(case):
-    xs, bad = case
-    got = failure_intervals(xs, bad)
-    assert got == _loop_intervals(xs, bad)
+    edges, bad = case
+    got = failure_intervals(edges, bad)
+    assert got == _loop_intervals(edges, bad)
     assert all(type(v) is float for interval in got for v in interval)
 
 

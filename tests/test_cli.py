@@ -757,6 +757,33 @@ def test_certify_accepts_what_validate_accepts_near_an_identity(tmp_path, params
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+def test_certify_passes_a_corner_whose_identity_rounds_below_zero(tmp_path, capsys):
+    # f(1) rounds to -1 - 2^-52, so f(1) + g(0) < 0 in floats; validate proves g(0) = -f(1),
+    # and the claims certify that model: sigma_max passes, it is not 0
+    body = {
+        "params": dict(REF_PARAMS, alpha=[0.0, 0.33, 0.56, 0.11]),
+        "certify": {"u_star": 0.0, "B_star": 0.4, "output": "cert.json"},
+    }
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    doc = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    assert doc["overall_pass"] is True
+    assert np.isfinite(doc["sigma_max"]) and doc["sigma_max"] > 0.0
+
+
+def test_certify_fails_a_noise_whose_square_overflows(tmp_path, capsys):
+    # sigma_x * sigma_x is inf: no ball is left, a failed claim (exit 1), not a numerical failure
+    body = {
+        "params": dict(REF_PARAMS, sigma_x=2e154),
+        "certify": {"u_star": 0.0, "B_star": 0.4, "output": "cert.json"},
+    }
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "stoch-stable: FAIL (degenerate)" in captured.out
+    doc = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    assert doc["stable_radius"] == 0.0 and doc["stoch-stable"]["pass"] is False
+
+
 def test_certify_interior_anchor_is_usage_error(tmp_path, capsys):
     body = {
         "params": REF_PARAMS,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexfunc import dynamics, model, stability
@@ -245,3 +245,44 @@ def test_sigma_max_at_a_small_target_stays_below_the_dense_boundary(B_star, dens
     # A 2001-point grid returned 2.425951 and 0.970129, where LV > 0 between two grid points.
     smax = stability.max_stable_noise(reference_params(), 0.0, B_star, target_radius=0.01)
     assert 0.99 * dense <= smax <= dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_params(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_zero_noise_passes_and_sigma_max_passes_its_own_certificate(params, u_star, B_star):
+    # about one draw in six rounds f(x*) + g(u*) below 0; the claims certify the validated
+    # model, where g(u*) = -f(x*) holds exactly, so that rounding decides no verdict
+    assume(stability.min_drift_gain(params, B_star) > 0.0)  # a subnormal B* can round eta1 to 0
+    assert stability.certify_stable(params.with_sigma(0.0), u_star, B_star).passed
+    for target in (1.0, 0.3):
+        smax = stability.max_stable_noise(params, u_star, B_star, target_radius=target)
+        cert = stability.certify_stable(params.with_sigma(smax), u_star, B_star)
+        assert cert.passed and stability.radius_meets_target(cert.threshold, target), (smax, cert)
+
+
+@pytest.mark.parametrize("u_star", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "alpha",
+    # (2x* - 1)(f(x*) + g(u*)) is -5e-10, +5e-10 and -2.2e-16 (one ulp) at both corners: all within
+    # validate's slack, and below 0, where the float drift has no root at x*, for the first and last
+    [(0.0, 0.25, 0.75 + 5e-10, 0.0), (0.0, 0.25, 0.75 - 5e-10, 0.0), (0.0, 0.33, 0.56, 0.11)],
+)
+def test_a_corner_identity_off_either_way_keeps_the_reference_verdicts(p, alpha, u_star):
+    q = FlexParams(alpha=alpha)
+    assert model.validate(q).ok
+    for certify in (stability.certify_bounded, stability.certify_stable):
+        ref, cert = certify(p, u_star, 0.4), certify(q, u_star, 0.4)
+        assert (cert.passed, cert.degenerate) == (ref.passed, ref.degenerate)
+        assert np.isfinite(cert.margin), cert
+
+
+@pytest.mark.parametrize("sigma_x", [2e154, 1e200, 1e308])
+def test_a_noise_whose_square_overflows_leaves_no_ball(p, sigma_x):
+    # sigma_x * sigma_x is inf: radius 0 fails as degenerate, and the noise ball is all of [0, 1]
+    q = p.with_sigma(sigma_x)
+    assert stability.stable_radius(q, 0.4, 0.5) == 0.0
+    stable = stability.certify_stable(q, 0.0, 0.4)
+    assert stable.degenerate and not stable.passed and stable.threshold == 0.0
+    bounded = stability.certify_bounded(q, 0.0, 0.4)
+    assert bounded.degenerate and bounded.passed and bounded.threshold == np.inf
+    assert np.isinf(stability.lyapunov_rate(q, 0.5, 0.0, 0.4))
