@@ -17,9 +17,10 @@ Brownian increments exhibits the order-1/2 error decay.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,19 +75,16 @@ def exact_path(bp: BilinearParams, times: np.ndarray, w_path: np.ndarray) -> np.
     return bp.x0 * np.exp(bp.as_growth * times + bp.r2 * w_path)
 
 
-def em_path(bp: BilinearParams, dt: float, dw: np.ndarray, x0=None) -> np.ndarray:
+def em_path(bp: BilinearParams, dt: float, dw: np.ndarray, x0=None) -> Iterator[np.ndarray]:
     """Euler-Maruyama states of the Ito SDE from time-major Brownian increments ``dw``.
 
-    ``dw`` has one row per step, for one path or a row of paths; the result
-    has one row of states per time, the first being ``x0`` (default ``bp.x0``).
+    ``dw`` has one row per step, for one path or a row of paths.  The states
+    come lazily, one row per time, the first being ``x0`` (default ``bp.x0``)
+    broadcast to a row, so a caller stores only the states it reads.
     """
     dw = np.asarray(dw, dtype=float)
-    xs = np.empty((len(dw) + 1,) + dw.shape[1:])
-    x = xs[0] = float(bp.x0) if x0 is None else x0
-    for i, inc in enumerate(dw):
-        x = x + bp.r1 * x * dt + bp.r2 * x * inc
-        xs[i + 1] = x
-    return xs
+    x0 = np.broadcast_to(float(bp.x0) if x0 is None else x0, dw.shape[1:])
+    return itertools.accumulate(dw, lambda x, inc: x + bp.r1 * x * dt + bp.r2 * x * inc, initial=x0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,8 @@ def strong_convergence_study(
         w_end += dw_fine.sum(axis=0)
         for j, (dt, ratio) in enumerate(zip(dts, ratios)):
             dw = dw_fine if ratio == 1 else dw_fine.reshape(-1, ratio, n_paths).sum(axis=1)
-            xs[j] = em_path(bp, dt, dw, xs[j])[-1]
+            for xs[j] in em_path(bp, dt, dw, xs[j]):
+                pass
     x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
 
     errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])
@@ -194,7 +193,7 @@ def demo_paths(
     times = time_grid(dt, t_end)
     dw = math.sqrt(dt) * rng.path_normals(master_seed, 0, n_steps)
     w_path = np.concatenate(([0.0], np.cumsum(dw)))
-    return times, em_path(bp, dt, dw), exact_path(bp, times, w_path)
+    return times, np.array(list(em_path(bp, dt, dw))), exact_path(bp, times, w_path)
 
 
 def write_paths_csv(path, times: np.ndarray, x_em: np.ndarray, x_exact: np.ndarray) -> None:

@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bilinear
+from . import bilinear, rng
 from ._csvio import write_csv
 from .certificates import MIN_GRID_N
 from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
 from .equilibria import CORNERS, certify_deterministic
 from .generator import (
+    EIGEN_MODES,
+    MIN_CELLS,
     build_generator,
     density_moments,
     evolve_pdf,
@@ -102,8 +104,8 @@ def _int(value, name: str, low=-math.inf, high=math.inf) -> int:
 
 
 _count = functools.partial(_int, low=1)
-_seed = functools.partial(_int, low=0, high=2**64 - 1)
-_n_cells = functools.partial(_int, low=16)
+_seed = functools.partial(_int, low=0, high=rng._U64_MAX)
+_n_cells = functools.partial(_int, low=MIN_CELLS)
 _grid_n = functools.partial(_int, low=MIN_GRID_N)
 
 
@@ -288,7 +290,7 @@ _SIMULATE = _object({
     "sample_paths": (_int, 0),
     "output": (_text, "simulate.csv"),
 }, _simulate)
-_EIGEN_MODE = _one_of("slowest", "fastest")
+_EIGEN_MODE = _one_of(*EIGEN_MODES)
 _DENSITY = _object({
     "u": (_unit, _REQUIRED),
     "B": (_unit, _REQUIRED),
@@ -541,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "simulate":
             p.add_argument("--mode", choices=("ode", "sde"), help="integrator family")
         if command in ("density", "sweep"):
-            p.add_argument("--eigen-mode", choices=("slowest", "fastest"))
+            p.add_argument("--eigen-mode", choices=EIGEN_MODES)
     return parser
 
 

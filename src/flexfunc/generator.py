@@ -29,6 +29,9 @@ import numpy as np
 from ._csvio import write_csv
 from .model import FlexParams, check_unit, diffusion, drift
 
+MIN_CELLS = 16  # the coarsest grid build_generator takes
+EIGEN_MODES = ("slowest", "fastest")  # the spectral_gap modes
+
 
 @dataclass(frozen=True)
 class StateGrid:
@@ -129,8 +132,8 @@ def build_generator(
     n_cells: int = 200,
 ) -> GeneratorMatrix:
     """Rate matrix for constant price u and baseline B."""
-    if n_cells < 16:
-        raise ValueError(f"grid too coarse: n_cells must be >= 16, got {n_cells}")
+    if n_cells < MIN_CELLS:
+        raise ValueError(f"grid too coarse: n_cells must be >= {MIN_CELLS}, got {n_cells}")
     u, B = check_unit("u", u), check_unit("B", B)
     grid = StateGrid(n_cells)
     h = grid.width
@@ -304,8 +307,8 @@ def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg import eigh_tridiagonal
 
-    if mode not in ("slowest", "fastest"):
-        raise ValueError(f"mode must be 'slowest' or 'fastest', got {mode!r}")
+    if mode not in EIGEN_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, EIGEN_MODES))}, got {mode!r}")
     if not gen.connected():
         raise ArithmeticError("spectral gap undefined for a disconnected chain")
     k = gen.n_cells - 2 if mode == "slowest" else 0

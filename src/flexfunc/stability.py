@@ -175,7 +175,9 @@ def max_stable_noise(
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
     if eta1 == 0.0:
-        raise ValueError("eta1 = 0 at B_star in {0, 1}: no certifiable noise level")
+        raise ValueError(
+            f"eta1 = (lambda / C) min(B*, 1 - B*) is 0 at B_star = {B_star!r}: no certifiable noise level"
+        )
 
     def passes(sigma: float) -> bool:
         cert = certify_stable(params.with_sigma(sigma), u_star, B_star, theta, grid_n)

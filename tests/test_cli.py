@@ -784,6 +784,19 @@ def test_certify_fails_a_noise_whose_square_overflows(tmp_path, capsys):
     assert doc["stable_radius"] == 0.0 and doc["stoch-stable"]["pass"] is False
 
 
+def test_certify_fails_a_baseline_whose_eta1_underflows(tmp_path, capsys):
+    # (lambda / C) * 5e-324 rounds to 0: both stochastic claims fail as degenerate, no sigma_max
+    body = {"params": REF_PARAMS, "certify": {"u_star": 0.0, "B_star": 5e-324, "output": "cert.json"}}
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for claim in ("stoch-bounded", "stoch-stable"):
+        assert f"{claim}: FAIL (degenerate)" in captured.out
+    doc = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    assert doc["stoch-bounded"]["pass"] is False and doc["stoch-stable"]["pass"] is False
+    assert doc["sigma_max"] is None and doc["overall_pass"] is False
+
+
 def test_certify_interior_anchor_is_usage_error(tmp_path, capsys):
     body = {
         "params": REF_PARAMS,

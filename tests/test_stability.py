@@ -170,6 +170,17 @@ def test_sigma_max_degenerate_error(p):
         stability.max_stable_noise(p, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("B_star", [0.0, 1.0, 5e-324])
+def test_sigma_max_names_the_baseline_whose_eta1_is_zero(p, B_star):
+    # 5e-324 lies inside (0, 1), but (lambda / C) * 5e-324 rounds to 0
+    assert stability.min_drift_gain(p, B_star) == 0.0
+    with pytest.raises(ValueError) as err:
+        stability.max_stable_noise(p, 0.0, B_star)
+    assert str(err.value) == (
+        f"eta1 = (lambda / C) min(B*, 1 - B*) is 0 at B_star = {B_star!r}: no certifiable noise level"
+    )
+
+
 @pytest.mark.parametrize("kwargs,key", [({"target_radius": 0.0}, "target_radius"), ({"theta": 1.0}, "theta")])
 def test_sigma_max_refuses_out_of_range_arguments(p, kwargs, key):
     with pytest.raises(ValueError, match=f"{key} must be in"):
