@@ -6,6 +6,11 @@ import numpy as np
 
 _ROWS_PER_WRITE = 256  # bounds the text held in memory at once
 
+# The previous file's leading column: each 256-row chunk's bytes -> its
+# "\n"-joined text.  Every table leads with its grid (t, x, dt or u), and a
+# fan of files on one grid then formats it once.
+_last_lead: dict[bytes, str] = {}
+
 
 def _reprs(chunk: np.ndarray):
     """The ``repr`` of each value; one ``repr`` when the chunk holds one bit pattern.
@@ -28,15 +33,23 @@ def write_csv(path, header: str, columns) -> None:
     text that reads back to the same double.  The rows go out 256 at a
     time, and where a column's values in one such chunk share one bit
     pattern (a settled state, a repeated time) the value is formatted once
-    and repeated.  Columns of unequal length raise ``ValueError`` before
-    the file is opened.
+    and repeated.  A leading-column chunk whose bytes equal one of the
+    previous file's reuses that file's text, so the writer holds at most one
+    leading column between calls.  Columns of unequal length raise
+    ``ValueError`` before the file is opened.
     """
+    global _last_lead
     cols = [np.asarray(col, dtype=float) for col in columns]
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns must have equal length, got lengths {lengths}")
+    lead = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, len(cols[0]), _ROWS_PER_WRITE):
-            text = (_reprs(col[i : i + _ROWS_PER_WRITE]) for col in cols)
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+            first, *rest = (col[i : i + _ROWS_PER_WRITE] for col in cols)
+            key = first.tobytes()
+            text = lead[key] = _last_lead.get(key) or "\n".join(_reprs(first))
+            rows = zip(text.split("\n"), *map(_reprs, rest))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+    _last_lead = lead

@@ -507,7 +507,7 @@ def cmd_examples(cfg: dict, out: str) -> int:
     )
     systems = [
         (bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end),
-         bilinear.demo_paths(bp, t_end, block["n_steps"], (seed + i) % 2**64))
+         bilinear.demo_paths(bp, t_end, block["n_steps"], (seed + i) % (rng._U64_MAX + 1)))
         for i, bp in enumerate(toys, start=1)
     ]
     out = _out_dir(out)

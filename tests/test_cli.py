@@ -872,6 +872,24 @@ def test_sde_byte_determinism_subprocess(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_simulate_writes_the_same_bytes_after_a_density_run_on_another_grid(tmp_path):
+    # the CSV writer keeps the previous file's leading-column text between
+    # calls; fig2 in a fresh process and fig2 after fig7's density tables
+    # (a t column repeated per cell) in one process must agree
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    fig2 = ["simulate", "--config", str(configs / "fig2.json"), "--out"]
+    res = subprocess.run(
+        [sys.executable, "-m", "flexfunc.cli", *fig2, str(tmp_path / "alone")], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert main(["density", "--config", str(configs / "fig7.json"), "--out", str(tmp_path / "fig7")]) == 0
+    assert main([*fig2, str(tmp_path / "after")]) == 0
+    alone = sorted((tmp_path / "alone").iterdir())
+    assert len(alone) == 9
+    for path in alone:
+        assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
     # scipy loads on first use, and only the generator layer uses it: an
     # eager import costs every command ~25 MB of peak memory and ~0.3 s of
