@@ -12,9 +12,12 @@ are
     up   = (D / h^2) * B(-w),     down = (D / h^2) * B(w),
 
 where B(z) = z / (exp(z) - 1).  This reproduces the local Gibbs ratio
-exp(v h / D) exactly, degrades to pure upwinding as D -> 0, and gives
-zero-flux (conservative) boundaries because no rates leave the domain.
-Rows of the rate matrix sum to zero by construction.
+exp(v h / D) exactly and gives zero-flux (conservative) boundaries
+because no rates leave the domain.  These fitted rates are taken wherever
+w is finite; where D is 0, or too small to divide v h by, w is not finite
+and the interface takes their D -> 0 limit, the upwind rates
+up = max(v, 0) / h and down = max(-v, 0) / h.  Rows of the rate matrix
+sum to zero by construction.
 
 Distributions are represented as densities at cell centers; multiply by
 the cell width to get probabilities.
@@ -59,18 +62,12 @@ class StateGrid:
         return min(self.n_cells - 1, int(check_unit("x", x) * self.n_cells))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the discarded branches may overflow or be 0 / 0
 def _bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (exp(z) - 1), stable for any float z."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    out[small] = 1.0 - 0.5 * z[small]
-    big = z > 700.0
-    out[big] = 0.0
     # below z ~ -37.4 expm1(z) is exactly -1.0, so this is -z there, bit for bit
-    rest = ~(small | big)
-    out[rest] = z[rest] / np.expm1(z[rest])
-    return out
+    return np.where(np.abs(z) < 1e-8, 1.0 - 0.5 * z, np.where(z > 700.0, 0.0, z / np.expm1(z)))
 
 
 @dataclass(frozen=True)
@@ -131,26 +128,23 @@ def build_generator(
     B: float,
     n_cells: int = 200,
 ) -> GeneratorMatrix:
-    """Rate matrix for constant price u and baseline B."""
+    """Rate matrix for constant price u and baseline B; ``ArithmeticError`` if a rate is not finite."""
     if n_cells < MIN_CELLS:
         raise ValueError(f"grid too coarse: n_cells must be >= {MIN_CELLS}, got {n_cells}")
     u, B = check_unit("u", u), check_unit("B", B)
     grid = StateGrid(n_cells)
     h = grid.width
     x_if = grid.edges[1:-1]
-    d_prime = params.sigma_x**2 * x_if * (1.0 - x_if) * (1.0 - 2.0 * x_if)  # the Ito term D'
-    v = np.asarray(drift(params, x_if, u, B)) - d_prime
-    d = 0.5 * np.asarray(diffusion(params, x_if)) ** 2
-    up_if = np.empty_like(v)
-    dn_if = np.empty_like(v)
-    diffusive = d > 0.0
-    w = v[diffusive] * h / d[diffusive]
-    scale = d[diffusive] / h**2
-    up_if[diffusive] = scale * _bernoulli(-w)
-    dn_if[diffusive] = scale * _bernoulli(w)
-    adv = ~diffusive
-    up_if[adv] = np.maximum(v[adv], 0.0) / h
-    dn_if[adv] = np.maximum(-v[adv], 0.0) / h
+    with np.errstate(all="ignore"):  # non-finite values are chosen away or refused below
+        d_prime = params.sigma_x**2 * x_if * (1.0 - x_if) * (1.0 - 2.0 * x_if)  # the Ito term D'
+        v = np.asarray(drift(params, x_if, u, B)) - d_prime
+        d = 0.5 * np.asarray(diffusion(params, x_if)) ** 2
+        w = v * h / d  # the Peclet number
+        fitted = np.isfinite(w)
+        up_if = np.where(fitted, d / h**2 * _bernoulli(-w), np.maximum(v, 0.0) / h)
+        dn_if = np.where(fitted, d / h**2 * _bernoulli(w), np.maximum(-v, 0.0) / h)
+    if not (np.isfinite(up_if).all() and np.isfinite(dn_if).all()):
+        raise ArithmeticError(f"non-finite jump rate at (u, B) = ({u!r}, {B!r})")
     up = np.append(up_if, 0.0)
     down = np.insert(dn_if, 0, 0.0)
     return GeneratorMatrix(grid=grid, up=up, down=down)

@@ -42,25 +42,22 @@ def normal_blocks(master_seed: int, paths: range, n_steps: int, rows: int):
 
     Each block is a new (``rows``, len(paths)) array, the last one shorter.
     Each tile the paths touch gets its stream once per walk; per block it
-    draws a full (steps, 64) slab into one reused C-contiguous scratch
-    array, and the block copies the columns it covers.  A partial tile
-    still draws all 64 columns, so no draw depends on ``paths`` or ``rows``.
+    draws a full (steps, 64) array and the block copies the columns it
+    covers.  A partial tile still draws all 64 columns, so no draw depends
+    on ``paths`` or ``rows``.
     """
     if paths.step != 1 or not paths:
         raise ValueError(f"paths must be a nonempty range with step 1, got {paths!r}")
     start, stop = check_seed(paths.start, "path index"), check_seed(paths.stop - 1, "path index") + 1
-    tiles = []  # (stream, its columns of the block, their columns of its slab)
+    tiles = []  # (stream, its columns of the block, their columns of its draw)
     for t in range(start // _TILE, -(-stop // _TILE)):
         lo, hi = max(start, t * _TILE), min(stop, (t + 1) * _TILE)
-        slab_cols = slice(lo - t * _TILE, hi - t * _TILE)
-        tiles.append((tile_stream(master_seed, t), slice(lo - start, hi - start), slab_cols))
-    slab = np.empty((min(rows, n_steps), _TILE))
+        tile_cols = slice(lo - t * _TILE, hi - t * _TILE)
+        tiles.append((tile_stream(master_seed, t), slice(lo - start, hi - start), tile_cols))
     for s0 in range(0, n_steps, rows):
         block = np.empty((min(rows, n_steps - s0), stop - start))
-        part = slab[: len(block)]
-        for stream, cols, slab_cols in tiles:
-            stream.standard_normal(out=part)
-            block[:, cols] = part[:, slab_cols]
+        for stream, cols, tile_cols in tiles:
+            block[:, cols] = stream.standard_normal((len(block), _TILE))[:, tile_cols]
         yield block
 
 

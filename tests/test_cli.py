@@ -1032,20 +1032,60 @@ def test_sde_block_rules_refused_before_any_output(tmp_path, changes, message, c
     assert not out.exists()
 
 
+_GENERATOR_RUNS = {
+    "sweep": _small("sweep", u_values=[0.0, 0.5], n_cells=200),
+    "density-stationary": _small("density", initial={"kind": "uniform"}, write=["stationary"], n_cells=400),
+    "density-transient": _small("density", write=["transient", "stationary"], n_cells=200),
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
 @pytest.mark.parametrize(
-    "mode,message",
-    [("ode", "non-finite state at t=0.01"), ("sde", "non-finite state in ensemble")],
-    ids=["ode", "sde"],
+    "command,block,message",
+    [
+        (
+            "simulate", _small("simulate", mode="ode", dt=0.01, t_end=1.0, n_paths=4),
+            "non-finite state at t=0.01",
+        ),
+        (
+            "simulate", _small("simulate", mode="sde", dt=0.01, t_end=1.0, n_paths=4),
+            "non-finite state in ensemble",
+        ),
+        ("sweep", _GENERATOR_RUNS["sweep"], "non-finite jump rate at (u, B) = (0.0, 0.5)"),
+        ("density", _GENERATOR_RUNS["density-stationary"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+        ("density", _GENERATOR_RUNS["density-transient"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+    ],
+    ids=["ode", "sde", *_GENERATOR_RUNS],
 )
-def test_numerical_failure_exits_3_before_any_output(tmp_path, mode, message, capsys):
-    # a valid but absurd capacity: the first step overflows the state
-    block = _small("simulate", mode=mode, dt=0.01, t_end=1.0, n_paths=4)
-    body = {"params": dict(REF_PARAMS, C=1e-320), "simulate": block}
+def test_numerical_failure_exits_3_before_any_output(tmp_path, command, block, message, capsys):
+    # a valid but absurd capacity: the drift dD / C overflows the first step's state or every jump rate
+    body = {"params": dict(REF_PARAMS, C=1e-320), command: block}
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
+@pytest.mark.parametrize("run", _GENERATOR_RUNS)
+def test_noise_too_small_to_divide_by_answers_as_no_noise(tmp_path, run):
+    # at sigma_x = 1e-160 D is subnormal or 0 and v h / D overflows: the chain is the upwind one
+    command = run.split("-")[0]
+    outs = {}
+    for sigma_x in (1e-160, 0.0):
+        body = {"params": dict(REF_PARAMS, sigma_x=sigma_x), command: _GENERATOR_RUNS[run]}
+        out = tmp_path / str(sigma_x)
+        assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 0
+        outs[sigma_x] = {f.name: f.read_text(encoding="utf-8") for f in sorted(out.iterdir())}
+    assert outs[1e-160].keys() == outs[0.0].keys()
+    for name, text in outs[0.0].items():
+        if name.endswith(".json"):
+            got, want = json.loads(outs[1e-160][name]), json.loads(text)
+            assert got.keys() == want.keys()
+            assert all(got[k] == pytest.approx(want[k], rel=1e-12, abs=0.0) for k in want)
+        else:
+            got, want = (np.loadtxt(t.splitlines()[1:], delimiter=",") for t in (outs[1e-160][name], text))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "under-a-file"])
