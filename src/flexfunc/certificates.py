@@ -64,19 +64,19 @@ def failure_intervals(edges, bad) -> tuple[tuple[float, float], ...]:
 
 
 def cell_certificate(
-    claim: str, params_hash: str, edges, bounds, threshold: float
+    claim: str, params_hash: str, edges, bounds, threshold: float, scale: float
 ) -> StabilityCertificate:
-    """Check ``bounds`` <= 0: upper bounds of a rate on the cells between consecutive ``edges``.
+    """Check ``bounds`` <= 0: upper bounds of a rate in a rescaled time on the cells between ``edges``.
 
-    ``margin`` is the largest bound, ``region`` the span of the cells and
-    ``failures`` the cells whose bound is positive, merged where they touch;
-    ``threshold`` is reported as given.
+    ``margin`` is the largest bound times ``scale``, per unit of t, ``region``
+    the span of the cells and ``failures`` the cells whose bound is positive,
+    merged where they touch; ``threshold`` is reported as given.
     """
     if edges[0] > edges[-1]:  # cells ascending in x
         edges, bounds = edges[::-1], bounds[::-1]
-    margin = float(np.max(bounds))
+    margin = float(np.max(bounds))  # the verdict's, before scale can round it to 0 or inf
     return StabilityCertificate(
-        claim, params_hash, (float(edges[0]), float(edges[-1])), threshold, margin,
+        claim, params_hash, (float(edges[0]), float(edges[-1])), threshold, margin * scale,
         passed=margin <= 0.0, failures=failure_intervals(edges, bounds > 0.0),
     )
 

@@ -41,9 +41,7 @@ from .generator import (
     write_stationary_csv,
 )
 from .model import FlexParams, validate
-from .stability import (
-    certify_bounded, certify_stable, max_stable_noise, min_drift_gain, radius_meets_target,
-)
+from .stability import certify_bounded, certify_stable, max_stable_noise, radius_meets_target
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -474,9 +472,9 @@ def cmd_certify(cfg: dict, out: str) -> int:
         certify_bounded(params, u_star, B_star, grid_n=grid_n),
         certify_stable(params, u_star, B_star, theta=theta, grid_n=grid_n),
     ]
-    radius = certs[2].threshold  # 0 when eta1 = 0
+    radius = certs[2].threshold  # 0 when B* is 0 or 1
     sigma_max = None
-    if min_drift_gain(params, B_star) > 0.0:
+    if 0.0 < B_star < 1.0:
         sigma_max = max_stable_noise(params, u_star, B_star, target_radius, theta, grid_n=grid_n)
     radius_ok = radius_meets_target(radius, target_radius)
     overall = all(c.passed for c in certs) and radius_ok

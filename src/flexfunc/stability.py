@@ -1,29 +1,30 @@
 """Stochastic stability certificates for the corner equilibria.
 
-All checks revolve around the generator of the diffusion applied to the
-quadratic Lyapunov function V = (x - x*)^2 / 2.  In the distance d = |x - x*|,
+Each claim is decided in the time tau = lambda t / C from two numbers, the
+noise eps = sigma_x^2 C / lambda and the drift gain eta = min(B*, 1 - B*):
+``_clock`` alone reads lambda, C and sigma_x, and margins and sigma_max are
+reported in t, through lambda / C.  All checks revolve around the generator of
+the diffusion applied to V = (x - x*)^2 / 2.  In d = |x - x*|, per unit of tau,
 
-    LV = -K tanh(k z / 2) d + 0.5 sigma_x^2 (d (1 - d))^2,   z = (2 x* - 1)(f(x) - f(x*)),
+    LV = -S tanh(k z / 2) d + 0.5 eps (d (1 - d))^2,   z = (2 x* - 1)(f(x) - f(x*)),
 
-with K = lambda / C times the demand slack on x*'s side.  z is f(x) + g(u*) of
-the model ``validate`` proves, where g(u*) = -f(x*), however their float sum
-rounds.  With the worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*),
-LV <= 0 is expected wherever ell(z) d exceeds sigma_x^2 / (32 eta1)
-(boundedness outside a noise ball) and on the ball
-d <= min(1, 2 eta1 theta / sigma_x^2) (stability).  Both claims bound
-LV / d^2 from above on cells of d that tile their region, so a pass is a
-proof.  ``validate`` proves f decreasing, so z >= 0 grows with d: on a cell
-[a, b], LV / d <= -K tanh(k z(a) / 2) + 0.5 sigma_x^2 max d (1 - d)^2.  On the
-first cell [0, 1e-8 R], z = d q(d) with q the mean of -f' between x* and x,
-and tanh is concave, so LV / d^2 <= sigma_x^2 / 2 - K (k / 2) q_min tanh(w) / w,
-with w = k z / 2 at its far end.  That is the exact local condition
-sigma_x^2 < 2 kappa: no ball around x* is left out.
-
-Only the corner states (x*, u*) in {(1, 0), (0, 1)} qualify: these are the
-points where drift and diffusion vanish together.
+with S the demand slack on x*'s side.  z is f(x) + g(u*) of the model
+``validate`` proves, where g(u*) = -f(x*), however their float sum rounds.
+LV <= 0 is expected wherever ell(z) d exceeds eps / (32 eta) (boundedness
+outside a noise ball) and on the ball d <= min(1, 2 eta theta / eps)
+(stability).  Both claims bound LV / d^2 from above on cells of d that tile
+their region, so a pass is a proof.  ``validate`` proves f decreasing, so
+z >= 0 grows with d: on a cell [a, b], LV / d <= -S tanh(k z(a) / 2) + 0.5 eps
+max d (1 - d)^2.  On the first cell [0, 1e-8 R], z = d q(d) with q the mean of
+-f' between x* and x, and tanh is concave, so LV / d^2 <= eps / 2 - S (k / 2)
+q_min tanh(w) / w, with w = k z / 2 at its far end: the exact local condition
+eps < 2 kappa, so no ball around x* is left out.  Only the corner states
+(x*, u*) in {(1, 0), (0, 1)} qualify, where drift and diffusion vanish together.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,11 +43,21 @@ def _corner(u_star: float) -> float:
     return CORNERS[u_star]
 
 
+def _clock(params: FlexParams, B_star: float):
+    """(B*, eta, eps, lambda / C): a claim in tau from the one read of lambda, C and sigma_x."""
+    b = check_unit("B_star", B_star)
+    scale = params.lam / params.C
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise ArithmeticError(f"lambda / C = {scale!r} is not a positive normal float")
+    root = params.sigma_x * (math.sqrt(params.C) / math.sqrt(params.lam))  # a float product saturates to inf
+    return b, min(b, 1.0 - b), root * root, scale
+
+
 def _corner_claim(params: FlexParams, u_star: float, B_star: float, grid_n: int):
-    """(x*, B*, eta1) of a corner certificate: the one check of its grid_n, u* and B*."""
+    """(x*, B*, eta, eps, lambda / C) of a corner certificate: the one check of its grid_n, u* and B*."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
-    return _corner(u_star), float(B_star), min_drift_gain(params, B_star)
+    return (_corner(u_star), *_clock(params, B_star))
 
 
 def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
@@ -57,29 +68,27 @@ def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
 
 
 def min_drift_gain(params: FlexParams, B_star: float) -> float:
-    """Worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*)."""
-    b = check_unit("B_star", B_star)
-    return params.lam / params.C * min(b, 1.0 - b)
+    """Worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*) per unit of t."""
+    _, eta, _, scale = _clock(params, B_star)
+    return scale * eta
 
 
-def _cells(params: FlexParams, u_star: float, B_star: float, radius: float, grid_n: int):
+def _cells(params: FlexParams, x_star: float, B_star: float, eps: float, radius: float, grid_n: int):
     """A claim's cells in d = |x - x*|: [0, 1e-8 radius], then ``grid_n`` geometric to ``radius``.
 
     Returns their edges in x, ell d at each edge and an upper bound of
-    LV / d^2 on each cell.  An edge is the float nearest its x, so no float
+    LV / d^2 in tau on each cell.  An edge is the float nearest its x, so no float
     x of a cell lies nearer x* than its near edge, where z is least.
     """
-    x_star = _corner(u_star)
     sign = 2.0 * x_star - 1.0  # x = x* - sign d, z = sign (f(x) - f(x*))
     d = radius * np.concatenate(([0.0], np.logspace(-8.0, 0.0, grid_n + 1)))
     xs = x_star - sign * d
     fx = charge_response(params, xs)
     z = sign * (fx - fx[0])  # xs[0] = x*, so z(x*) = 0 exactly
     ell = logistic_response(params, z)
-    sigma2 = params.sigma_x * params.sigma_x
-    gain = params.lam / params.C * (1.0 - B_star if x_star == 1.0 else B_star)
+    slack = 1.0 - B_star if x_star == 1.0 else B_star
     h = np.clip(1.0 / 3.0, d[1:-1], d[2:])  # where d (1 - d)^2 peaks on each cell
-    rate = -gain * ell[1:-1] + 0.5 * sigma2 * h * (1.0 - h) ** 2  # bounds LV / d
+    rate = -slack * ell[1:-1] + 0.5 * eps * h * (1.0 - h) ** 2  # bounds LV / d
     near = np.where(rate > 0.0, d[1:-1], d[2:])  # LV / d^2 <= rate / near on the cell
     with np.errstate(over="ignore"):  # near may underflow, below normal floats or to 0
         bounds = np.divide(rate, near, out=np.where(rate > 0.0, np.inf, 0.0), where=near > 0.0)
@@ -87,7 +96,7 @@ def _cells(params: FlexParams, u_star: float, B_star: float, radius: float, grid
     q_min = max(0.0, -np.polyval(slope, sign) - d[1] * np.abs(np.polyder(slope)).sum())
     w = 0.5 * params.k * z[1]
     secant = np.tanh(w) / w if w > 0.0 else 1.0  # tanh(v) >= secant v for 0 <= v <= w
-    c = 0.5 * sigma2 - gain * 0.5 * params.k * q_min * secant
+    c = 0.5 * eps - slack * 0.5 * params.k * q_min * secant
     return xs, ell * d, np.concatenate(([c], bounds))
 
 
@@ -100,31 +109,30 @@ def certify_bounded(
     """Noise-ball boundedness certificate at the corner equilibrium of u*.
 
     Bounds LV on every cell of [0, 1] in d whose far end meets the damping
-    condition ell(z) |x - x*| >= sigma_x^2 / (32 eta1); that product grows
+    condition ell(z) |x - x*| >= eps / (32 eta); that product grows
     with d, so these cells cover the condition's region.
     No such cell is a vacuous pass, flagged degenerate.  B* at 0 or 1 gives
-    eta1 = 0 and an empty condition region; that degenerate certificate is
+    eta = 0 and an empty condition region; that degenerate certificate is
     flagged and does not pass.
     """
-    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
-    if eta1 == 0.0:
+    x_star, b, eta, eps, scale = _corner_claim(params, u_star, B_star, grid_n)
+    if eta == 0.0:
         return empty_certificate("stoch-bounded", params.params_hash(), x_star, np.inf, passed=False)
-    threshold = params.sigma_x * params.sigma_x / (32.0 * eta1)  # inf, not OverflowError
-    xs, damping, bounds = _cells(params, u_star, b, 1.0, grid_n)
+    threshold = eps / (32.0 * eta)  # inf, not OverflowError
+    xs, damping, bounds = _cells(params, x_star, b, eps, 1.0, grid_n)
     kept = damping[1:] >= threshold
     if not kept.any():
         return empty_certificate("stoch-bounded", params.params_hash(), x_star, threshold, passed=True)
     first = int(np.argmax(kept))
-    return cell_certificate("stoch-bounded", params.params_hash(), xs[first:], bounds[first:], threshold)
+    return cell_certificate("stoch-bounded", params.params_hash(), xs[first:], bounds[first:], threshold, scale)
 
 
 def stable_radius(params: FlexParams, B_star: float, theta: float) -> float:
-    """Certified radius min(1, 2 eta1 theta / sigma_x^2); 1 when the float sigma_x^2 is 0, 0 when inf."""
-    eta1 = min_drift_gain(params, B_star)
+    """Certified radius min(1, 2 eta theta / eps); 1 when the float eps is 0, 0 when inf."""
+    _, eta, eps, _ = _clock(params, B_star)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    sigma2 = params.sigma_x * params.sigma_x
-    return 1.0 if sigma2 == 0.0 else min(1.0, 2.0 * eta1 * theta / sigma2)
+    return 1.0 if eps == 0.0 else min(1.0, 2.0 * eta * theta / eps)
 
 
 def certify_stable(
@@ -137,15 +145,15 @@ def certify_stable(
     """Stability certificate on the ball |x - x*| <= stable_radius.
 
     The reported threshold is the certified radius.  B* at 0 or 1 gives
-    eta1 = 0, and a sigma_x whose square overflows gives radius 0: both
-    leave no ball to check, and the claim is degenerate and failed.
+    eta = 0, and an eps that overflows gives radius 0: both leave no ball
+    to check, and the claim is degenerate and failed.
     """
-    x_star, b, eta1 = _corner_claim(params, u_star, B_star, grid_n)
+    x_star, b, eta, eps, scale = _corner_claim(params, u_star, B_star, grid_n)
     r = stable_radius(params, b, theta)
-    if eta1 == 0.0 or r == 0.0:
+    if eta == 0.0 or r == 0.0:
         return empty_certificate("stoch-stable", params.params_hash(), x_star, 0.0, passed=False)
-    xs, _, bounds = _cells(params, u_star, b, r, grid_n)
-    return cell_certificate("stoch-stable", params.params_hash(), xs, bounds, threshold=r)
+    xs, _, bounds = _cells(params, x_star, b, eps, r, grid_n)
+    return cell_certificate("stoch-stable", params.params_hash(), xs, bounds, r, scale)
 
 
 def radius_meets_target(radius: float, target_radius: float) -> bool:
@@ -163,18 +171,18 @@ def max_stable_noise(
 ) -> float:
     """Largest sigma_x whose stability certificate covers ``target_radius``.
 
-    The radius formula alone caps sigma_x at sqrt(2 eta1 theta / target)
-    (sqrt(2 eta1 theta) at target 1).  That bound is probed once and
-    returned if it passes.  Otherwise the LV bound binds and interval
-    halving from 0 returns the lower of two adjacent floats at the
-    boundary, which passes: at sigma_x = 0 no cell's bound is positive.
+    The radius formula alone caps eps at 2 eta theta / target: sigma_x at
+    sqrt(2 eta theta / target) sqrt(lambda / C) is probed once and returned if
+    it passes.  Otherwise the LV bound binds, and interval halving from 0 to
+    that bound (or to the largest float, if it is inf) returns the lower of two
+    adjacent floats at the boundary, which passes: at sigma_x = 0 no cell's bound is positive.
     """
-    _, _, eta1 = _corner_claim(params, u_star, B_star, grid_n)
+    _, _, eta, _, scale = _corner_claim(params, u_star, B_star, grid_n)
     if not 0.0 < target_radius <= 1.0:
         raise ValueError(f"target_radius must be in (0, 1], got {target_radius}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0, 1), got {theta}")
-    if eta1 == 0.0:
+    if eta == 0.0:
         raise ValueError(
             f"eta1 = (lambda / C) min(B*, 1 - B*) is 0 at B_star = {B_star!r}: no certifiable noise level"
         )
@@ -183,7 +191,7 @@ def max_stable_noise(
         cert = certify_stable(params.with_sigma(sigma), u_star, B_star, theta, grid_n)
         return cert.passed and radius_meets_target(cert.threshold, target_radius)
 
-    sigma = float(np.sqrt(2.0 * eta1 * theta / target_radius))
+    sigma = math.sqrt(2.0 * eta * theta / target_radius) * math.sqrt(scale)
     if not passes(sigma):
-        sigma, _ = _halve(passes, 0.0, sigma)
+        sigma, _ = _halve(passes, 0.0, min(sigma, float(np.finfo(float).max)))
     return sigma

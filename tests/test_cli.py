@@ -785,16 +785,19 @@ def test_certify_fails_a_noise_whose_square_overflows(tmp_path, capsys):
 
 
 def test_certify_fails_a_baseline_whose_eta1_underflows(tmp_path, capsys):
-    # (lambda / C) * 5e-324 rounds to 0: both stochastic claims fail as degenerate, no sigma_max
+    # (lambda / C) * 5e-324 rounds to 0, but the claims are decided in tau, where the gain is
+    # 5e-324 itself: the noise ball is all of [0, 1] and the certified radius is 1.7e-322
     body = {"params": REF_PARAMS, "certify": {"u_star": 0.0, "B_star": 5e-324, "output": "cert.json"}}
     assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    for claim in ("stoch-bounded", "stoch-stable"):
-        assert f"{claim}: FAIL (degenerate)" in captured.out
+    assert "stoch-bounded: pass (degenerate) margin=-inf" in captured.out
+    assert "stoch-stable: FAIL margin=" in captured.out  # a claim with cells, not degenerate
     doc = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
-    assert doc["stoch-bounded"]["pass"] is False and doc["stoch-stable"]["pass"] is False
-    assert doc["sigma_max"] is None and doc["overall_pass"] is False
+    assert doc["stoch-bounded"]["pass"] is True and doc["stoch-stable"]["pass"] is False
+    assert 0.0 < doc["sigma_max"] < np.inf and doc["overall_pass"] is False
+    params = FlexParams.from_dict(REF_PARAMS).with_sigma(doc["sigma_max"])
+    assert stability.certify_stable(params, 0.0, 5e-324).passed
 
 
 def test_certify_interior_anchor_is_usage_error(tmp_path, capsys):
@@ -1054,11 +1057,13 @@ _GENERATOR_RUNS = {
         ("sweep", _GENERATOR_RUNS["sweep"], "non-finite jump rate at (u, B) = (0.0, 0.5)"),
         ("density", _GENERATOR_RUNS["density-stationary"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
         ("density", _GENERATOR_RUNS["density-transient"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+        ("certify", {"u_star": 0.0, "B_star": 0.4}, "lambda / C = inf is not a positive normal float"),
     ],
-    ids=["ode", "sde", *_GENERATOR_RUNS],
+    ids=["ode", "sde", *_GENERATOR_RUNS, "certify"],
 )
 def test_numerical_failure_exits_3_before_any_output(tmp_path, command, block, message, capsys):
-    # a valid but absurd capacity: the drift dD / C overflows the first step's state or every jump rate
+    # a valid but absurd capacity: the drift dD / C overflows the first step's state or every jump
+    # rate, and lambda / C, the certificates' unit of time, overflows
     body = {"params": dict(REF_PARAMS, C=1e-320), command: block}
     out = tmp_path / "out"
     assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3

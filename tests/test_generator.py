@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,3 +418,23 @@ def test_a_diffusion_too_small_to_divide_by_gives_the_upwind_chain(sigma_x, u, B
     pdf0 = generator.point_mass_pdf(g.grid, 0.5)
     series, series0 = (generator.evolve_pdf(c, pdf0, [0.5, 2.0]) for c in (g, g0))
     assert _close(series.pdfs, series0.pdfs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=admissible_params(),
+    **_draws | {"n_cells": st.sampled_from([16, 200, 1000])},
+    log_s=st.floats(-100.0, 100.0),
+)
+def test_the_generator_is_already_in_one_clock(params, u, B, sigma_x, n_cells, log_s):
+    # (C, sigma_x) -> (s C, sigma_x / sqrt(s)) divides every jump rate by s, so the generator needs no
+    # clock of its own: the gap in units of 1 / C and the stationary moments stay where they were
+    s = 10.0**log_s
+    q = params.with_sigma(sigma_x)
+    scaled = replace(q, C=s * q.C, sigma_x=sigma_x / s**0.5)
+    g, gs = (build_generator(r, u, B, n_cells=n_cells) for r in (q, scaled))
+    assume(g.connected())
+    gap, gap_s = generator.spectral_gap(g) * q.C, generator.spectral_gap(gs) * (s * q.C)
+    assert gap_s == pytest.approx(gap, rel=1e-9, abs=0.0)
+    for m, m_s in zip(generator.stationary_moments(g), generator.stationary_moments(gs)):
+        assert abs(m_s - m) <= 1e-11

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexfunc import dynamics, model, stability
@@ -170,15 +172,34 @@ def test_sigma_max_degenerate_error(p):
         stability.max_stable_noise(p, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("B_star", [0.0, 1.0, 5e-324])
+@pytest.mark.parametrize("B_star", [0.0, 1.0])
 def test_sigma_max_names_the_baseline_whose_eta1_is_zero(p, B_star):
-    # 5e-324 lies inside (0, 1), but (lambda / C) * 5e-324 rounds to 0
     assert stability.min_drift_gain(p, B_star) == 0.0
     with pytest.raises(ValueError) as err:
         stability.max_stable_noise(p, 0.0, B_star)
     assert str(err.value) == (
         f"eta1 = (lambda / C) min(B*, 1 - B*) is 0 at B_star = {B_star!r}: no certifiable noise level"
     )
+
+
+def test_sigma_max_at_a_subnormal_target_halves_from_the_largest_float(p):
+    # sqrt(2 eta theta / 5e-324) is inf: halving starts from the largest float, which fails, and
+    # finds the boundary the LV bound sets, as at any target this small
+    smax = stability.max_stable_noise(p, 0.0, 0.4, target_radius=5e-324)
+    assert smax == stability.max_stable_noise(p, 0.0, 0.4, target_radius=1e-300)
+    assert smax == pytest.approx(2.414065, rel=1e-6)
+    assert stability.certify_stable(p.with_sigma(smax), 0.0, 0.4).passed
+
+
+def test_sigma_max_at_a_capacity_whose_eta1_is_huge(p):
+    # at C = 1e-300, 2 eta1 theta / 1e-10 overflows in t; in tau the probe is finite, and the answer
+    # is the reference capacity's, times sqrt(2.97 / 1e-300)
+    q = replace(p, C=1e-300)
+    smax = stability.max_stable_noise(q, 0.0, 0.4, target_radius=1e-10)
+    ref = stability.max_stable_noise(p, 0.0, 0.4, target_radius=1e-10)
+    assert smax * 1e-150 == pytest.approx(ref * 2.97**0.5, rel=1e-14)
+    cert = stability.certify_stable(q.with_sigma(smax), 0.0, 0.4)
+    assert cert.passed and stability.radius_meets_target(cert.threshold, 1e-10)
 
 
 @pytest.mark.parametrize("kwargs,key", [({"target_radius": 0.0}, "target_radius"), ({"theta": 1.0}, "theta")])
@@ -263,7 +284,6 @@ def test_sigma_max_at_a_small_target_stays_below_the_dense_boundary(B_star, dens
 def test_zero_noise_passes_and_sigma_max_passes_its_own_certificate(params, u_star, B_star):
     # about one draw in six rounds f(x*) + g(u*) below 0; the claims certify the validated
     # model, where g(u*) = -f(x*) holds exactly, so that rounding decides no verdict
-    assume(stability.min_drift_gain(params, B_star) > 0.0)  # a subnormal B* can round eta1 to 0
     assert stability.certify_stable(params.with_sigma(0.0), u_star, B_star).passed
     for target in (1.0, 0.3):
         smax = stability.max_stable_noise(params, u_star, B_star, target_radius=target)
@@ -297,3 +317,33 @@ def test_a_noise_whose_square_overflows_leaves_no_ball(p, sigma_x):
     bounded = stability.certify_bounded(q, 0.0, 0.4)
     assert bounded.degenerate and bounded.passed and bounded.threshold == np.inf
     assert np.isinf(stability.lyapunov_rate(q, 0.5, 0.0, 0.4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    admissible_params(),
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 5.0),
+    st.sampled_from([1.0, 0.01, 1e-10]),
+    st.floats(-300.0, 300.0),
+)
+def test_the_claims_see_capacity_and_noise_only_through_eps(params, u_star, B_star, sigma, target, log_s):
+    # (C, sigma_x) -> (s C, sigma_x / sqrt(s)) keeps eps = sigma_x^2 C / lambda and stretches t by s
+    s = 10.0**log_s
+    runs = []
+    for q in (params.with_sigma(sigma), replace(params, C=s * params.C, sigma_x=sigma / s**0.5)):
+        smax = stability.max_stable_noise(q, u_star, B_star, target_radius=target)
+        certs = (
+            stability.certify_bounded(q, u_star, B_star),
+            stability.certify_stable(q, u_star, B_star),
+            stability.certify_stable(q.with_sigma(smax), u_star, B_star),
+        )
+        for cert in certs:
+            assert cert.passed == (cert.margin <= 0.0), cert
+        runs.append((certs, smax * (q.C / q.lam) ** 0.5))
+    (certs, smax), (certs_s, smax_s) = runs
+    for cert, cert_s in zip(certs, certs_s):
+        assert (cert_s.passed, cert_s.degenerate) == (cert.passed, cert.degenerate)
+        assert cert_s.threshold == pytest.approx(cert.threshold, rel=1e-14, abs=0.0)
+    assert smax_s == pytest.approx(smax, rel=1e-14, abs=0.0)
