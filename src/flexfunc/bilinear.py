@@ -48,22 +48,20 @@ class BilinearParams:
 
 def mean_ode(bp: BilinearParams, omega: float, dt: float, t_end: float) -> Trajectory:
     """RK4 path of the mean evolution dE/dt = (r1 + r2 omega) E; closed form is exponential."""
-    times = time_grid(dt, t_end)
-    xs = np.empty(len(times))
-    x = float(bp.x0)
-    xs[0] = x
 
     def rhs(y: float) -> float:
         return bp.r1 * y + bp.r2 * y * omega
 
-    for i in range(len(times) - 1):
+    def step(x: float, _) -> float:
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * dt * k1)
         k3 = rhs(x + 0.5 * dt * k2)
         k4 = rhs(x + dt * k3)
-        x += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        xs[i + 1] = x
-    return Trajectory(times=times, states=xs)
+        return x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+    times = time_grid(dt, t_end)
+    states = itertools.accumulate(range(len(times) - 1), step, initial=float(bp.x0))
+    return Trajectory(times=times, states=np.fromiter(states, float, len(times)))
 
 
 def exact_path(bp: BilinearParams, times: np.ndarray, w_path: np.ndarray) -> np.ndarray:
@@ -166,18 +164,6 @@ def strong_convergence_study(
         raise ArithmeticError("every strong error is 0, so there is no slope to fit")
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceStudy(dts=dts, errors=errors, slope=slope)
-
-
-def as_growth_estimate(
-    bp: BilinearParams,
-    t_end: float = 10.0,
-    n_paths: int = 1000,
-    master_seed: int = 99,
-) -> float:
-    """Monte Carlo estimate of the almost-sure growth rate log|x(T)| / T."""
-    w_end = math.sqrt(t_end) * next(rng.normal_blocks(master_seed, range(n_paths), 1, 1))[0]
-    x_end = exact_path(bp, np.full(n_paths, t_end), w_end)
-    return float(np.mean(np.log(np.abs(x_end)) / t_end))
 
 
 def demo_paths(

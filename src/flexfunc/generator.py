@@ -99,25 +99,6 @@ class GeneratorMatrix:
     def diag(self) -> np.ndarray:
         return -(self.up + self.down)
 
-    @property
-    def sub(self) -> np.ndarray:
-        """Entries G[i, i-1], i = 1..n-1."""
-        return self.down[1:]
-
-    @property
-    def sup(self) -> np.ndarray:
-        """Entries G[i, i+1], i = 0..n-2."""
-        return self.up[:-1]
-
-    def dense(self) -> np.ndarray:
-        n = self.n_cells
-        g = np.zeros((n, n))
-        idx = np.arange(n)
-        g[idx, idx] = self.diag
-        g[idx[1:], idx[:-1]] = self.sub
-        g[idx[:-1], idx[1:]] = self.sup
-        return g
-
     def connected(self) -> bool:
         return bool(np.all((self.up[:-1] > 0.0) | (self.down[1:] > 0.0)))
 

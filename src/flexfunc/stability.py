@@ -18,7 +18,10 @@ z >= 0 grows with d: on a cell [a, b], LV / d <= -S tanh(k z(a) / 2) + 0.5 eps
 max d (1 - d)^2.  On the first cell [0, 1e-8 R], z = d q(d) with q the mean of
 -f' between x* and x, and tanh is concave, so LV / d^2 <= eps / 2 - S (k / 2)
 q_min tanh(w) / w, with w = k z / 2 at its far end: the exact local condition
-eps < 2 kappa, so no ball around x* is left out.  Only the corner states
+eps < 2 kappa, so in real arithmetic no ball around x* is left out.  In floats
+z cancels within about 1e-16 of x*, so a small enough radius fails although
+eps < 2 kappa holds (reference params, sigma_x = 0.1, u* = 0: radius 3.4e-9
+fails, 3.4e-8 passes).  Only the corner states
 (x*, u*) in {(1, 0), (0, 1)} qualify, where drift and diffusion vanish together.
 """
 
@@ -65,12 +68,6 @@ def lyapunov_rate(params: FlexParams, x, u_star: float, B_star: float):
     xs = np.asarray(x, dtype=float)
     drift_part = drift(params, xs, u_star, check_unit("B_star", B_star)) * (xs - _corner(u_star))
     return _out(drift_part + 0.5 * (xs * (1.0 - xs)) ** 2 * (params.sigma_x * params.sigma_x))
-
-
-def min_drift_gain(params: FlexParams, B_star: float) -> float:
-    """Worst-case drift gain eta1 = (lambda / C) min(B*, 1 - B*) per unit of t."""
-    _, eta, _, scale = _clock(params, B_star)
-    return scale * eta
 
 
 def _cells(params: FlexParams, x_star: float, B_star: float, eps: float, radius: float, grid_n: int):
@@ -157,8 +154,8 @@ def certify_stable(
 
 
 def radius_meets_target(radius: float, target_radius: float) -> bool:
-    """Whether a certified radius covers ``target_radius`` (to 1e-12)."""
-    return radius >= target_radius - 1e-12
+    """Whether a certified radius covers ``target_radius`` (to 1e-12 of it)."""
+    return radius >= target_radius * (1.0 - 1e-12)
 
 
 def max_stable_noise(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flexfunc import bilinear, rng
 from flexfunc.bilinear import BilinearParams
+from flexfunc.dynamics import time_grid
 
 
 def test_growth_rates():
@@ -42,6 +43,40 @@ def test_mean_ode_closed_form():
     assert traj.states[-1] < traj.states[0]
     flat = bilinear.mean_ode(BilinearParams(1.0, -0.5, 2.0), 2.0, 0.05, 1.0)
     assert np.allclose(flat.states, 2.0, atol=1e-12)  # r1 + r2 * omega = 0
+
+
+def _mean_rk4_rows(bp, omega, dt, t_end):
+    """The mean equation's RK4 states in a row buffer, one plain loop over the steps."""
+    times = time_grid(dt, t_end)
+    xs = np.empty(len(times))
+    x = xs[0] = float(bp.x0)
+
+    def rhs(y):
+        return bp.r1 * y + bp.r2 * y * omega
+
+    for i in range(len(times) - 1):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        xs[i + 1] = x
+    return xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-2.0, 2.0),
+    st.floats(1e-3, 0.1),
+    st.integers(1, 100),
+)
+def test_mean_ode_is_the_index_loop_bit_for_bit(r1, r2, x0, omega, dt, n_steps):
+    bp = BilinearParams(r1, r2, x0)
+    traj = bilinear.mean_ode(bp, omega, dt, n_steps * dt)
+    assert traj.states.tobytes() == _mean_rk4_rows(bp, omega, dt, n_steps * dt).tobytes()
 
 
 def test_exact_path_identity():
@@ -91,11 +126,6 @@ def test_em_path_steps_a_row_of_paths_as_each_path_alone():
         assert rows[:, p].tobytes() == alone.tobytes() == _em_rows(bp_p, 0.01, dw[:, p], x0[p]).tobytes(), p
     # the default start is bp.x0 for every path
     assert next(bilinear.em_path(bp, 0.01, dw)).tolist() == [1.3] * 5
-
-
-def test_as_growth_estimate_refuses_no_paths():
-    with pytest.raises(ValueError, match="paths must be a nonempty range with step 1"):
-        bilinear.as_growth_estimate(BilinearParams(), n_paths=0)
 
 
 def test_strong_convergence_slope_half():
@@ -156,13 +186,6 @@ def test_brownian_refinement_consistency():
     s2 = bilinear.strong_convergence_study(bp, dts=[2**-6, 2**-7, 2**-8], n_paths=50)
     assert s1.errors[0] == s2.errors[0]
     assert s1.errors[-1] == s2.errors[-1]
-
-
-def test_as_growth_estimates():
-    for r1, r2 in ((1.0, 2.0), (1.0, -1.2)):
-        bp = BilinearParams(r1, r2, 1.0)
-        est = bilinear.as_growth_estimate(bp, t_end=10.0, n_paths=1000)
-        assert abs(est - bp.as_growth) < 0.1, (r1, r2, est)
 
 
 def test_csv_outputs(tmp_path):

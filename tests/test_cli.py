@@ -693,6 +693,19 @@ def test_certify_high_noise_fails_on_radius(tmp_path, capsys):
     assert doc["overall_pass"] is False
 
 
+def test_certify_fails_a_radius_far_below_a_target_below_1e12(tmp_path, capsys):
+    # the radius 1.35e-15 is a hundredth of the target: no absolute slack may cover the gap
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    body = json.loads((configs / "certify.json").read_text(encoding="utf-8"))
+    body["params"]["sigma_x"] = 1e7
+    body["certify"]["target_radius"] = 1e-13
+    assert main(["certify", "--config", cfg_file(tmp_path, body), "--out", str(tmp_path)]) == 1
+    assert "stable radius 1.3468013468013466e-15 vs target 1e-13: FAIL" in capsys.readouterr().out.splitlines()
+    doc = json.loads((tmp_path / body["certify"]["output"]).read_text(encoding="utf-8"))
+    assert doc["stable_radius"] == 1.3468013468013466e-15
+    assert doc["radius_meets_target"] is False
+
+
 def test_certify_prints_the_failure_intervals_of_a_failed_claim(tmp_path, capsys):
     body = {
         "params": dict(REF_PARAMS, sigma_x=1.0),

@@ -10,7 +10,7 @@ from flexfunc import generator, model
 from flexfunc.equilibria import solve_equilibrium
 from flexfunc.generator import GeneratorMatrix, StateGrid, build_generator
 from flexfunc.model import reference_params
-from strategies import admissible_params
+from strategies import admissible_params, dense
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,7 @@ def test_bernoulli_stability():
 
 
 def test_row_sums_and_boundaries(gen):
-    dense = gen.dense()
-    assert np.max(np.abs(dense.sum(axis=1))) < 1e-10
+    assert np.max(np.abs(dense(gen).sum(axis=1))) < 1e-10
     # zero-flux boundaries: no jump out of the domain
     assert gen.down[0] == 0.0 and gen.up[-1] == 0.0
     # rates may underflow to 0 where exp(-|z|) is subnormal, but never go negative
@@ -200,7 +199,7 @@ def test_spectral_gap_two_cell_closed_form():
 def test_spectral_gap_dense_oracle(p):
     gen64 = build_generator(p, 0.3, 0.5, n_cells=64)
     lam = generator.spectral_gap(gen64)
-    ev = np.linalg.eigvals(gen64.dense())
+    ev = np.linalg.eigvals(dense(gen64))
     ev = np.sort(ev.real)
     dense_slowest = ev[-2]  # largest is ~0
     assert lam == pytest.approx(dense_slowest, rel=1e-6)
@@ -278,7 +277,7 @@ def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, int
     h = g.grid.width
     p = pdf0 * h
     for row, (n_sub, _), span in zip(series.pdfs, intervals, spans):
-        a = np.eye(n_cells) - (span / n_sub) * g.dense().T
+        a = np.eye(n_cells) - (span / n_sub) * dense(g).T
         for _ in range(n_sub):
             p = np.linalg.solve(a, p)
         assert np.max(np.abs(row * h - p)) < 1e-12
@@ -290,15 +289,15 @@ def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, int
 @given(params=admissible_params(), **_draws)
 def test_generator_invariants_over_admissible_params(params, u, B, sigma_x, n_cells):
     g = build_generator(params.with_sigma(sigma_x), u, B, n_cells=n_cells)
-    dense = g.dense()
+    g_dense = dense(g)
     rates = g.up + g.down
     assert np.all(g.up >= 0.0) and np.all(g.down >= 0.0)
-    assert np.all(np.abs(dense.sum(axis=1)) <= 1e-14 * rates)
+    assert np.all(np.abs(g_dense.sum(axis=1)) <= 1e-14 * rates)
     p = generator.stationary_pdf(g) * g.grid.width  # probabilities
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) < 1e-12
     # fixed point: p G = 0 up to rounding of the flux through each cell
-    assert np.max(np.abs(p @ dense)) <= 1e-9 * np.max(p * rates)
+    assert np.max(np.abs(p @ g_dense)) <= 1e-9 * np.max(p * rates)
 
 
 @settings(max_examples=30, deadline=None)

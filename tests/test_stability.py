@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexfunc import dynamics, model, stability
@@ -38,15 +39,6 @@ def test_lv_decomposition(p):
 def test_lv_rejects_interior_u(p):
     with pytest.raises(ValueError, match="corner"):
         stability.lyapunov_rate(p, 0.5, 0.2, 0.4)
-
-
-def test_eta1_arithmetic():
-    q = FlexParams(C=2.0, lam=1.0)
-    assert stability.min_drift_gain(q, 0.5) == 0.25
-    assert stability.min_drift_gain(q, 0.0) == 0.0
-    assert stability.min_drift_gain(q, 1.0) == 0.0
-    p = reference_params()
-    assert stability.min_drift_gain(p, 0.4) == pytest.approx(0.4 / 2.97, rel=1e-15)
 
 
 def test_bounded_certificate_reference(p):
@@ -121,7 +113,7 @@ def test_stable_degenerate_cases(p):
 
 
 def test_sigma_max_formula_value(p):
-    eta1 = stability.min_drift_gain(p, 0.4)
+    eta1 = p.lam / p.C * 0.4
     smax = stability.max_stable_noise(p, 0.0, 0.4, target_radius=1.0)
     assert smax == pytest.approx(np.sqrt(2.0 * eta1 * 0.5), rel=1e-12)
     # consistency: certificate passes with full radius just below, not above
@@ -174,7 +166,6 @@ def test_sigma_max_degenerate_error(p):
 
 @pytest.mark.parametrize("B_star", [0.0, 1.0])
 def test_sigma_max_names_the_baseline_whose_eta1_is_zero(p, B_star):
-    assert stability.min_drift_gain(p, B_star) == 0.0
     with pytest.raises(ValueError) as err:
         stability.max_stable_noise(p, 0.0, B_star)
     assert str(err.value) == (
@@ -200,6 +191,25 @@ def test_sigma_max_at_a_capacity_whose_eta1_is_huge(p):
     assert smax * 1e-150 == pytest.approx(ref * 2.97**0.5, rel=1e-14)
     cert = stability.certify_stable(q.with_sigma(smax), 0.0, 0.4)
     assert cert.passed and stability.radius_meets_target(cert.threshold, 1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-900, 900),
+    st.floats(0.25, 4.0) | st.sampled_from([1.0, 1.0 - 0.9e-12, 1.0 - 1e-12, 1.0 - 1.1e-12]),
+    st.integers(-900, 900),
+)
+@example(0.5, -60, 0.5, 0)  # radius 2^-62 against target 2^-61, and 0.25 against 0.5
+def test_radius_meets_target_is_unchanged_when_both_lengths_scale_by_a_power_of_two(mantissa, exponent, ratio, scaled):
+    # scaling by 2^k is exact while radius, target and the threshold stay normal, so a
+    # relative slack gives the same verdict at every scale and an absolute one cannot
+    target = math.ldexp(mantissa, exponent)
+    radius = target * ratio
+    k = scaled - exponent
+    assert stability.radius_meets_target(math.ldexp(radius, k), math.ldexp(target, k)) == (
+        stability.radius_meets_target(radius, target)
+    )
 
 
 @pytest.mark.parametrize("kwargs,key", [({"target_radius": 0.0}, "target_radius"), ({"theta": 1.0}, "theta")])
