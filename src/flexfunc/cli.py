@@ -115,27 +115,21 @@ def _finite(value, name: str) -> float:
 
 
 def _interval(text: str, inside):
-    """Parser for a finite number that ``inside`` accepts; ``text`` names the interval."""
+    """Parser for a finite number that ``inside`` accepts; ``text`` names the allowed values."""
 
     def parse(value, name: str) -> float:
         number = _finite(value, name)
         if not inside(number):
-            raise ConfigError(f"{name} must be in {text}, got {value!r}")
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
         return number
 
     return parse
 
 
-_unit = _interval("[0, 1]", lambda v: 0.0 <= v <= 1.0)
-_theta = _interval("(0, 1)", lambda v: 0.0 < v < 1.0)
-_target_radius = _interval("(0, 1]", lambda v: 0.0 < v <= 1.0)
-
-
-def _corner(value, name: str) -> float:
-    number = _finite(value, name)
-    if number not in CORNERS:
-        raise ConfigError(f"{name} must be 0 or 1 (a corner equilibrium), got {value!r}")
-    return number
+_unit = _interval("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_theta = _interval("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_target_radius = _interval("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_corner = _interval("0 or 1 (a corner equilibrium)", lambda v: v in CORNERS)
 
 
 def _positive(value, name: str) -> float:
@@ -553,12 +547,13 @@ def main(argv=None) -> int:
         if args.command not in ("validate", "examples") and not _require_valid(cfg["params"]):
             return EXIT_FAIL
         return args.handler(cfg, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # numerical failures first: np.linalg.LinAlgError is also a ValueError
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

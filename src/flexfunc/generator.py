@@ -109,7 +109,10 @@ def build_generator(
     B: float,
     n_cells: int = 200,
 ) -> GeneratorMatrix:
-    """Rate matrix for constant price u and baseline B; ``ArithmeticError`` if a rate is not finite."""
+    """Rate matrix for constant price u and baseline B.
+
+    ``ArithmeticError`` if a rate, or up * down at an interface (whose square
+    root ``spectral_gap`` takes), is not finite."""
     if n_cells < MIN_CELLS:
         raise ValueError(f"grid too coarse: n_cells must be >= {MIN_CELLS}, got {n_cells}")
     u, B = check_unit("u", u), check_unit("B", B)
@@ -117,15 +120,18 @@ def build_generator(
     h = grid.width
     x_if = grid.edges[1:-1]
     with np.errstate(all="ignore"):  # non-finite values are chosen away or refused below
-        d_prime = params.sigma_x**2 * x_if * (1.0 - x_if) * (1.0 - 2.0 * x_if)  # the Ito term D'
+        d_prime = np.float64(params.sigma_x) ** 2 * x_if * (1.0 - x_if) * (1.0 - 2.0 * x_if)  # the Ito term D'
         v = np.asarray(drift(params, x_if, u, B)) - d_prime
         d = 0.5 * np.asarray(diffusion(params, x_if)) ** 2
         w = v * h / d  # the Peclet number
         fitted = np.isfinite(w)
         up_if = np.where(fitted, d / h**2 * _bernoulli(-w), np.maximum(v, 0.0) / h)
         dn_if = np.where(fitted, d / h**2 * _bernoulli(w), np.maximum(-v, 0.0) / h)
+        rate_product = up_if * dn_if
     if not (np.isfinite(up_if).all() and np.isfinite(dn_if).all()):
         raise ArithmeticError(f"non-finite jump rate at (u, B) = ({u!r}, {B!r})")
+    if not np.isfinite(rate_product).all():
+        raise ArithmeticError(f"the product up * down of two jump rates overflows at (u, B) = ({u!r}, {B!r})")
     up = np.append(up_if, 0.0)
     down = np.insert(dn_if, 0, 0.0)
     return GeneratorMatrix(grid=grid, up=up, down=down)
@@ -167,15 +173,20 @@ def evolve_pdf(
     """Transient densities at the requested times from initial density pdf0.
 
     Implicit one-step time stepping: (I - dt G^T) p_{new} = p.  The system
-    matrix is an M-matrix, so every step conserves mass exactly (columns of
-    G^T sum to zero) and preserves nonnegativity for any step size; the
-    stationary density is its exact fixed point.  Each interval between
-    requested times takes n_sub equal steps of span / n_sub, the fewest no
-    longer than ``dt`` (up to a 1e-12 relative slack).  LAPACK ``gttrf``
-    factors the matrix once per interval and every step is one ``gttrs``
-    solve.  The matrix is strictly column diagonally dominant, so partial
-    pivoting never swaps rows and the factors keep the M-matrix sign
-    pattern.  A zero pivot raises ``ArithmeticError``.
+    matrix is an M-matrix, so every step conserves mass (columns of G^T sum
+    to zero) and preserves nonnegativity for any step size, exactly in real
+    arithmetic and to rounding in floats; the stationary density is its
+    exact fixed point.  Each interval between requested times takes n_sub
+    equal steps of span / n_sub, the fewest no longer than ``dt`` (up to a
+    1e-12 relative slack).  LAPACK ``gttrf`` factors the matrix once per
+    interval and every step is one ``gttrs`` solve.  The matrix is strictly
+    column diagonally dominant, so partial pivoting never swaps rows and the
+    factors keep the M-matrix sign pattern.
+
+    A zero pivot raises ``ArithmeticError``, and so, naming the step, do a
+    non-finite band and an interval that ends with a negative probability
+    or a mass more than 1e-9 (the slack pdf0 gets) from 1: a step so long
+    that step * rate dwarfs 1 / eps loses the identity in I - step G^T.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -211,11 +222,21 @@ def evolve_pdf(
             n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
             step = span / n_sub
             # bands of A = I - step*G^T:  sub_A = -step*up[:-1], sup_A = -step*down[1:]
-            *lu, info = dgttrf(-step * gen.up[:-1], 1.0 - step * gen.diag, -step * gen.down[1:])
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                bands = (-step * gen.up[:-1], 1.0 - step * gen.diag, -step * gen.down[1:])
+            if not all(np.isfinite(band).all() for band in bands):
+                raise ArithmeticError(f"non-finite implicit step matrix at step {float(step)!r}")
+            *lu, info = dgttrf(*bands)
             if info != 0:
                 raise ArithmeticError(f"zero pivot {info} in the implicit step matrix")
             for _ in range(n_sub):
                 p, _ = dgttrs(*lu, p, overwrite_b=1)
+            # a NaN fails p >= 0, and an inf makes the sum inf or NaN
+            if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-9):
+                raise ArithmeticError(
+                    f"implicit steps of {float(step)!r} lost mass or positivity by t = {float(t)!r}: "
+                    f"probabilities sum to {float(p.sum())!r}, smallest {float(p.min())!r}"
+                )
             t_now = t
         out[j] = p / h
     return DistributionSeries(times=times, grid=gen.grid, pdfs=out)

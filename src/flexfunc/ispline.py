@@ -25,10 +25,9 @@ import numpy as np
 def _deboor(knots, order: int, coefs, u) -> np.ndarray:
     """Spline sum_m coefs[m] B_m(u) by de Boor's algorithm, vectorized over ``u``.
 
-    ``knots`` is a clamped knot vector of ``len(coefs) + order`` entries
-    and ``coefs`` may carry trailing columns, which come back as trailing
-    axes after the axis of ``u``.  Splines are right-continuous, except
-    that the right end of the domain is evaluated as a left limit.
+    ``knots`` is a clamped knot vector of ``len(coefs) + order`` entries.
+    Splines are right-continuous, except that the right end of the domain
+    is evaluated as a left limit.
     """
     t = np.asarray(knots, dtype=float)
     c = np.asarray(coefs, dtype=float)
@@ -38,10 +37,9 @@ def _deboor(knots, order: int, coefs, u) -> np.ndarray:
     j = k - 1 + np.searchsorted(t[k : len(c)], u, side="right")
     idx = j + np.arange(1 - k, 1)  # the k coefficients acting on span j
     d = c[idx]
-    trailing = (...,) + (None,) * (c.ndim - 1)
     for s in range(1, k):
         lo = t[idx[:, s:]]
-        a = ((u - lo) / (t[idx[:, s:] + k - s] - lo))[trailing]
+        a = (u - lo) / (t[idx[:, s:] + k - s] - lo)
         d[:, s:] = (1.0 - a) * d[:, s - 1 : k - 1] + a * d[:, s:]
     return d[:, k - 1]
 
@@ -85,18 +83,9 @@ class ISplineBasis:
         )
         object.__setattr__(self, "basis_count", len(interior) + self.order)
 
-    def rows(self, u) -> np.ndarray:
-        """All I-spline values at each point of ``u``: shape ``(len(u), basis_count)``.
-
-        I_i is the sum of the order ``k+1`` B-splines with 0-based index at
-        least ``i``, so it is exactly 0 below its support and exactly 1
-        above it.
-        """
-        return self.spline(np.tri(self.basis_count + 1, self.basis_count, -1), u)
-
     def spline(self, coefs, u) -> np.ndarray:
         """sum_m coefs[m] B_m(u) over the order ``k+1`` B-splines, one entry
-        (or row) per point of ``u`` in [0, 1], flattened."""
+        per point of ``u`` in [0, 1], flattened."""
         u = np.asarray(u, dtype=float).ravel()
         inside = (u >= 0.0) & (u <= 1.0)
         if not inside.all():
@@ -105,8 +94,13 @@ class ISplineBasis:
         return _deboor((0.0, *self.knots, 1.0), self.order + 1, coefs, u)
 
     def basis_row(self, u: float) -> list[float]:
-        """All I-spline values at ``u`` as a length ``basis_count`` list."""
-        return self.rows(u)[0].tolist()
+        """All I-spline values at ``u`` as a length ``basis_count`` list.
+
+        I_i is the order ``k+1`` spline with coefficients ``[m > i]``, so it
+        is exactly 0 below its support and exactly 1 above it.
+        """
+        m = np.arange(self.basis_count + 1)
+        return [float(self.spline(m > i, u)[0]) for i in range(self.basis_count)]
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +115,9 @@ class ISplineBasis:
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown basis keys: {sorted(unknown)}")
-        order = data.get("order", 3)
+        if "knots" in data and "interior_knots" in data:
+            raise ValueError("basis takes knots or interior_knots, not both")
+        order = data.get("order", cls.order)
         if "knots" in data:
             knots = [float(t) for t in data["knots"]]
             head, tail = knots[:order], knots[-order:]
@@ -129,7 +125,7 @@ class ISplineBasis:
                 raise ValueError("knot vector must be clamped ([0]*order ... [1]*order)")
             interior = tuple(knots[order:-order])
         else:
-            interior = tuple(float(t) for t in data.get("interior_knots", (0.2, 0.4, 0.6, 0.8)))
+            interior = tuple(float(t) for t in data.get("interior_knots", cls.interior_knots))
         basis = cls(order=order, interior_knots=interior)
         if "basis_count" in data and int(data["basis_count"]) != basis.basis_count:
             raise ValueError(

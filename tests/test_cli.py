@@ -1084,6 +1084,97 @@ def test_numerical_failure_exits_3_before_any_output(tmp_path, command, block, m
     assert not out.exists()
 
 
+def _preset(name, params=(), **block):
+    """The command and body of ``configs/<name>.json`` with ``params`` and ``block`` updated."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    body = json.loads((configs / f"{name}.json").read_text(encoding="utf-8"))
+    command = next(key for key in body if key not in ("params", "seed", "threads"))
+    body["params"].update(params)
+    body[command].update(block)
+    return command, body
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
+def test_linalg_error_exits_3_not_2(tmp_path, monkeypatch, capsys):
+    # np.linalg.LinAlgError is a ValueError, the usage clause's type
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz did not converge")
+
+    monkeypatch.setattr(sys.modules["flexfunc.cli"], "spectral_gap", unconverged)
+    command, body = _preset("fig11")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: stebz did not converge\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
+@pytest.mark.parametrize(
+    "preset,sigma_x,message",
+    [
+        ("fig11", 1e80, "the product up * down of two jump rates overflows at (u, B) = (0.0, 0.5)"),
+        ("fig5", 1e80, "the product up * down of two jump rates overflows at (u, B) = (0.2, 0.4)"),
+        ("fig5", 1e160, "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+    ],
+    ids=["sweep-product", "density-product", "density-square"],
+)
+def test_valid_noise_that_overflows_exits_3_before_any_output(tmp_path, preset, sigma_x, message, capsys):
+    # at 1e80 each rate is finite but spectral_gap's up * down is not; at 1e160 sigma_x**2 is not
+    command, body = _preset(preset, {"sigma_x": sigma_x})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
+def test_step_matrix_that_overflows_exits_3_before_any_output(tmp_path, capsys):
+    # step = 1e305 times a rate of ~1e4 is past the largest double
+    command, body = _preset("fig5", times=[1e308], n_cells=4000)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite implicit step matrix at step 1e+305\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
+@pytest.mark.parametrize("horizon", [1e9, 1e12, 1e14, 1e16])
+def test_horizon_whose_steps_lose_mass_exits_3_before_any_output(tmp_path, horizon, capsys):
+    # the default dt is horizon / 1000: step * rate dwarfs 1 / eps, and I - step G^T loses
+    # its identity (the written mass was 1 - 3.1e-8, 0.99979, 1.0162 and 0.583)
+    command, body = _preset("fig5", times=[horizon])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: implicit steps of {horizon / 1000!r} lost mass or positivity")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("u_star", 0.5, 'certify "u_star" must be 0 or 1 (a corner equilibrium), got 0.5'),
+        ("B_star", 1.5, 'certify "B_star" must be in [0, 1], got 1.5'),
+        ("theta", 1.0, 'certify "theta" must be in (0, 1), got 1.0'),
+        ("target_radius", 0.0, 'certify "target_radius" must be in (0, 1], got 0.0'),
+    ],
+)
+def test_interval_keys_name_their_allowed_values(tmp_path, key, value, message, capsys):
+    command, body = _preset("certify", **{key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_basis_with_both_knot_keys_is_refused(tmp_path, capsys):
+    # the knots alone are the default basis and the interior knot alone needs 4 betas
+    basis = {"knots": [0, 0, 0, 0.2, 0.4, 0.6, 0.8, 1, 1, 1], "interior_knots": [0.5]}
+    command, body = _preset("fig2", {"basis": basis})
+    assert main(["validate", "--config", cfg_file(tmp_path, body)]) == 2
+    assert capsys.readouterr().err == "error: bad params block: basis takes knots or interior_knots, not both\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
 @pytest.mark.parametrize("run", _GENERATOR_RUNS)
 def test_noise_too_small_to_divide_by_answers_as_no_noise(tmp_path, run):

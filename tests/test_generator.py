@@ -285,6 +285,26 @@ def test_evolve_matches_dense_implicit_euler(u, B, sigma_x, n_cells, x0, dt, int
         assert row.min() >= 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    params=admissible_params(),
+    u=st.floats(0.0, 1.0),
+    B=st.floats(0.0, 1.0),
+    sigma_x=st.floats(0.01, 1.0),
+    n_cells=st.sampled_from([16, 200, 1000]),
+    x0=st.floats(0.0, 1.0),
+    times=st.lists(st.floats(0.0, 64.0), min_size=1, max_size=4).map(sorted),
+)
+def test_evolve_keeps_mass_and_sign_at_the_default_dt(params, u, B, sigma_x, n_cells, x0, times):
+    # the mass and sign check of evolve_pdf never fires on admissible inputs: every
+    # transient stays nonnegative with mass 1 to well inside its 1e-9 slack
+    g = build_generator(params.with_sigma(sigma_x), u, B, n_cells=n_cells)
+    series = generator.evolve_pdf(g, generator.point_mass_pdf(g.grid, x0), times)
+    masses = series.pdfs.sum(axis=1) * g.grid.width
+    assert np.max(np.abs(masses - 1.0)) <= 1e-10
+    assert series.pdfs.min() >= 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=admissible_params(), **_draws)
 def test_generator_invariants_over_admissible_params(params, u, B, sigma_x, n_cells):

@@ -16,6 +16,14 @@ def basis():
     return ISplineBasis()
 
 
+def _rows(basis, u):
+    """All I-spline values at each point of ``u``, shape ``(len(u), basis_count)``:
+    I_i is the order k+1 spline with coefficients ``[m > i]``."""
+    n = basis.basis_count
+    m = np.arange(n + 1)
+    return np.stack([basis.spline(m > i, u) for i in range(n)], axis=-1)
+
+
 def test_default_layout(basis):
     assert basis.order == 3
     assert basis.interior_knots == (0.2, 0.4, 0.6, 0.8)
@@ -44,11 +52,11 @@ def test_symmetry_midpoint(basis):
         mirror = basis.basis_row(1.0 - u)
         for i in range(7):
             assert row[i] == pytest.approx(1.0 - mirror[6 - i], abs=1e-12)
-    assert basis.rows(0.5)[0, 3] == pytest.approx(0.5, abs=1e-12)
+    assert _rows(basis, 0.5)[0, 3] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_monotone_and_bounded(basis):
-    vals = basis.rows(np.linspace(0.0, 1.0, 801))
+    vals = _rows(basis, np.linspace(0.0, 1.0, 801))
     assert np.all(np.diff(vals, axis=0) >= -1e-13)
     assert vals.min() >= -1e-15 and vals.max() <= 1.0 + 1e-15
 
@@ -63,7 +71,7 @@ def test_ispline_is_integral_of_mspline(basis):
             val, err = quad(
                 lambda s: _mspline(i, basis.order, s, basis.knots), 0.0, u, points=kinks, limit=200
             )
-            assert basis.rows(u)[0, i - 1] == pytest.approx(val, abs=max(1e-9, 10 * err))
+            assert _rows(basis, u)[0, i - 1] == pytest.approx(val, abs=max(1e-9, 10 * err))
 
 
 def test_mspline_normalization(basis):
@@ -79,15 +87,15 @@ def test_derivative_matches_mspline(basis):
     h = 1e-6
     for i in range(1, 8):
         for u in (0.11, 0.33, 0.52, 0.77, 0.9):
-            num = (basis.rows(u + h)[0, i - 1] - basis.rows(u - h)[0, i - 1]) / (2 * h)
+            num = (_rows(basis, u + h)[0, i - 1] - _rows(basis, u - h)[0, i - 1]) / (2 * h)
             assert num == pytest.approx(_mspline(i, basis.order, u, basis.knots), abs=1e-5)
 
 
 def test_args_validated(basis):
     with pytest.raises(ValueError):
-        basis.rows(-0.1)
+        _rows(basis, -0.1)
     with pytest.raises(ValueError):
-        basis.rows(1.1)
+        _rows(basis, 1.1)
 
 
 def test_bad_construction():
@@ -107,6 +115,20 @@ def test_dict_round_trip(basis):
     bad["mystery"] = 1
     with pytest.raises(ValueError):
         ISplineBasis.from_dict(bad)
+
+
+def test_from_dict_refuses_both_knot_keys():
+    both = {"knots": [0, 0, 0, 0.2, 0.4, 0.6, 0.8, 1, 1, 1], "interior_knots": [0.5]}
+    with pytest.raises(ValueError, match="knots or interior_knots, not both"):
+        ISplineBasis.from_dict(both)
+    assert ISplineBasis.from_dict({"knots": both["knots"]}) == ISplineBasis()
+    assert ISplineBasis.from_dict({"interior_knots": [0.5]}).basis_count == 4
+
+
+def test_from_dict_defaults_are_the_dataclass_defaults():
+    assert ISplineBasis.from_dict({}) == ISplineBasis()
+    assert ISplineBasis.from_dict({"order": 2}) == ISplineBasis(order=2)
+    assert ISplineBasis.from_dict({"interior_knots": [0.5]}) == ISplineBasis(interior_knots=(0.5,))
 
 
 # -- independent oracle: the recursive M-spline and the telescoping I-spline sum
@@ -171,7 +193,7 @@ def test_deboor_matches_recursive_oracle(case):
     basis, us, beta = case
     n, k = basis.basis_count, basis.order
     oracle = np.array([[_ispline(basis, i, u) for i in range(1, n + 1)] for u in us])
-    rows = basis.rows(us)
+    rows = _rows(basis, us)
     assert np.max(np.abs(rows - oracle)) <= 1e-14
     # I_i = sum of the B-splines m >= i (0-based) on the order k+1 knots T, so it
     # is exactly 0 below T[i] and exactly 1 from T[i+k] on
@@ -179,7 +201,7 @@ def test_deboor_matches_recursive_oracle(case):
     below = us[:, None] < t[None, 1 : n + 1]
     above = us[:, None] >= t[None, k + 1 : k + 1 + n]
     assert np.all(rows[below] == 0.0) and np.all(rows[above] == 1.0)
-    assert np.all(basis.rows(0.0) == 0.0) and np.all(basis.rows(1.0) == 1.0)
+    assert np.all(_rows(basis, 0.0) == 0.0) and np.all(_rows(basis, 1.0) == 1.0)
 
     p = FlexParams(beta=beta, basis=basis)
     g = model.price_response(p, us)
@@ -194,3 +216,13 @@ def test_price_response_rejects_beta_of_wrong_length():
     p = FlexParams(beta=(-1.0, -1.0))
     with pytest.raises(ValueError, match="beta has 2 entries but the basis has 7"):
         model.price_response(p, 0.5)
+
+
+@settings(max_examples=100)
+@given(_bases_and_points())
+def test_basis_row_is_rows_bit_for_bit(case):
+    # at 0, at 1, at every interior knot and at free points of each drawn basis
+    basis, us, _ = case
+    rows = _rows(basis, us)
+    for u, row in zip(us, rows):
+        assert np.array(basis.basis_row(float(u))).tobytes() == row.tobytes(), u
