@@ -29,7 +29,6 @@ from .certificates import MIN_GRID_N
 from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
 from .equilibria import CORNERS, certify_deterministic
 from .generator import (
-    EIGEN_MODES,
     MIN_CELLS,
     build_generator,
     density_moments,
@@ -182,7 +181,8 @@ def _object(fields: dict, build=dict):
             raise ConfigError(f"{where} must be a JSON object, got {value!r}")
         unknown = set(value) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+            keys = ", ".join(f'"{key}"' for key in sorted(unknown))  # as the JSON writes them
+            raise ConfigError(f"unknown keys in {where}: {keys}")
         prefix = name.replace('"', "") + " " if name else ""
         out = {}
         for key, (parser, default) in fields.items():
@@ -282,7 +282,6 @@ _SIMULATE = _object({
     "sample_paths": (_int, 0),
     "output": (_text, "simulate.csv"),
 }, _simulate)
-_EIGEN_MODE = _one_of(*EIGEN_MODES)
 _DENSITY = _object({
     "u": (_unit, _REQUIRED),
     "B": (_unit, _REQUIRED),
@@ -294,14 +293,12 @@ _DENSITY = _object({
     "write": (_list(_one_of("transient", "cdf", "stationary"), what="names"),
               ["transient", "stationary"]),
     "prefix": (_text, "density"),
-    "eigen_mode": (_EIGEN_MODE, "slowest"),
 }, _density)
 _SWEEP = _object({
     "u_values": (_sweep_values, _REQUIRED),
     "B_values": (_sweep_values, _REQUIRED),
     "n_cells": (_n_cells, 200),
     "output": (_text, "sweep.csv"),
-    "eigen_mode": (_EIGEN_MODE, "slowest"),
 })
 _CERTIFY = _object({
     "u_star": (_corner, _REQUIRED),
@@ -347,13 +344,12 @@ def _read_config(args) -> dict:
         raise ConfigError(f'config must contain a "{args.command}" block for this command')
     # A flag replaces its key before the checks, so the two follow one rule.
     block = cfg.get(args.command)
-    flags = [(block, key, getattr(args, key, None)) for key in ("mode", "eigen_mode")]
-    flags += [(cfg, "seed", args.seed), (cfg, "threads", args.threads)]
+    flags = [(block, "mode", getattr(args, "mode", None)), (cfg, "seed", args.seed),
+             (cfg, "threads", args.threads)]
     for where, key, value in flags:
         if value is not None and isinstance(where, dict):
             if key in where and where[key] != value:
-                flag = key.replace("_", "-")
-                print(f"flag --{flag}={value} overrides config {key}={where[key]}", file=sys.stderr)
+                print(f"flag --{key}={value} overrides config {key}={where[key]}", file=sys.stderr)
             where[key] = value
     return _CONFIG(cfg, "")
 
@@ -425,8 +421,8 @@ def cmd_density(cfg: dict, out: str) -> int:
         "u": block["u"], "B": block["B"], "n_cells": block["n_cells"],
         "stationary_mean": mean, "stationary_var": var,
         "stationary_mode": float(gen.grid.centers[int(np.argmax(pdf_inf))]),
-        "eigen_mode": block["eigen_mode"],
-        "spectral_gap": spectral_gap(gen, mode=block["eigen_mode"]),
+        "eigen_mode": "slowest",
+        "spectral_gap": spectral_gap(gen),
     }
 
     out = _out_dir(out)
@@ -443,13 +439,13 @@ def cmd_density(cfg: dict, out: str) -> int:
 
 def cmd_sweep(cfg: dict, out: str) -> int:
     params, block = cfg["params"], cfg["sweep"]
-    n_cells, mode = block["n_cells"], block["eigen_mode"]
+    n_cells = block["n_cells"]
 
     rows = []
     for u in block["u_values"]:  # u-major row order
         for B in block["B_values"]:
             gen = build_generator(params, u, B, n_cells=n_cells)
-            rows.append((u, B, *stationary_moments(gen), spectral_gap(gen, mode=mode)))
+            rows.append((u, B, *stationary_moments(gen), spectral_gap(gen)))
     path = _out_dir(out) / block["output"]
     write_csv(path, "u,B,mean,var,gap", zip(*rows))
     print(f"wrote {len(rows)} sweep rows to {path}")
@@ -534,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, help="accepted for older scripts; no effect")
         if command == "simulate":
             p.add_argument("--mode", choices=("ode", "sde"), help="integrator family")
-        if command in ("density", "sweep"):
-            p.add_argument("--eigen-mode", choices=EIGEN_MODES)
     return parser
 
 

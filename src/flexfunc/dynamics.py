@@ -24,6 +24,9 @@ from .model import FlexParams, check_unit, deviation, diffusion, price_response
 from .rng import _CHUNK
 
 _LEVELS = np.array([0.05, 0.50, 0.95])  # the ensemble quantiles
+# Half the float64 points numpy can index (intp max / 8 bytes), 4 EiB on 64-bit:
+# no grid this long can be allocated, and np.arange wraps to empty at 2**63.
+_MAX_POINTS = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,19 @@ class Ensemble:
 
 
 def time_grid(dt: float, t_end: float) -> np.ndarray:
-    """Uniform times 0, dt, ..., n dt with the horizon rounded to n >= 1 steps."""
+    """Uniform times 0, dt, ..., n dt with the horizon rounded to n >= 1 steps.
+
+    ``OverflowError`` if t_end / dt is more steps than any float64 array
+    holds (or is not finite)."""
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if not (np.isfinite(t_end) and t_end >= dt):
         raise ValueError(f"t_end must be at least dt, got {t_end}")
-    n_steps = max(1, int(round(t_end / dt)))
+    with np.errstate(over="ignore"):  # refused below
+        ratio = np.float64(t_end) / dt
+    if not ratio < _MAX_POINTS:
+        raise OverflowError(f"time grid t_end / dt = {t_end!r} / {dt!r} has too many steps to allocate")
+    n_steps = max(1, int(round(ratio)))
     return np.arange(n_steps + 1) * dt
 
 

@@ -33,7 +33,6 @@ from ._csvio import write_csv
 from .model import FlexParams, check_unit, diffusion, drift
 
 MIN_CELLS = 16  # the coarsest grid build_generator takes
-EIGEN_MODES = ("slowest", "fastest")  # the spectral_gap modes
 
 
 @dataclass(frozen=True)
@@ -183,10 +182,11 @@ def evolve_pdf(
     column diagonally dominant, so partial pivoting never swaps rows and the
     factors keep the M-matrix sign pattern.
 
-    A zero pivot raises ``ArithmeticError``, and so, naming the step, do a
-    non-finite band and an interval that ends with a negative probability
-    or a mass more than 1e-9 (the slack pdf0 gets) from 1: a step so long
-    that step * rate dwarfs 1 / eps loses the identity in I - step G^T.
+    A zero pivot raises ``ArithmeticError``, and so do an interval whose
+    span / dt overflows and, naming the step, a non-finite band and an
+    interval that ends with a negative probability or a mass more than 1e-9
+    (the slack pdf0 gets) from 1: a step so long that step * rate dwarfs
+    1 / eps loses the identity in I - step G^T.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -219,7 +219,12 @@ def evolve_pdf(
     for j, t in enumerate(times):
         span = t - t_now
         if span > 0.0:
-            n_sub = max(1, int(np.ceil(span / dt - 1e-12)))
+            with np.errstate(over="ignore"):  # refused below
+                ratio = span / dt
+            if not np.isfinite(ratio):
+                raise ArithmeticError(f"step count of the interval {float(span)!r} ending at "
+                                      f"t = {float(t)!r} over dt = {dt!r} overflows")
+            n_sub = max(1, int(np.ceil(ratio - 1e-12)))
             step = span / n_sub
             # bands of A = I - step*G^T:  sub_A = -step*up[:-1], sup_A = -step*down[1:]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -288,26 +293,23 @@ def _log_stationary(gen: GeneratorMatrix) -> np.ndarray:
     return logpi - logpi.max()
 
 
-def spectral_gap(gen: GeneratorMatrix, mode: str = "slowest") -> float:
-    """Nonzero eigenvalue of the generator governing relaxation.
+def spectral_gap(gen: GeneratorMatrix) -> float:
+    """Least-negative nonzero eigenvalue of the generator, the relaxation rate.
 
-    ``slowest`` (default) returns the least-negative nonzero eigenvalue,
-    ``fastest`` the most negative one.  The chain is reversible, so the
-    generator is symmetrized by the stationary measure into a tridiagonal
-    matrix with off-diagonal sqrt(up_i * down_{i+1}); LAPACK interval
-    halving (``stebz`` via ``eigh_tridiagonal``) computes only the wanted
-    eigenvalue, index n-2 in ascending order (n-1 is the zero mode) or
-    index 0.  A search that fails to converge raises ``LinAlgError``, and a
-    disconnected chain, which has no gap, raises ``ArithmeticError``.
+    The chain is reversible, so the generator is symmetrized by the
+    stationary measure into a tridiagonal matrix with off-diagonal
+    sqrt(up_i * down_{i+1}); LAPACK interval halving (``stebz`` via
+    ``eigh_tridiagonal``) computes only that eigenvalue, index n-2 in
+    ascending order (n-1 is the zero mode).  A search that fails to converge
+    raises ``LinAlgError``, and a disconnected chain, which has no gap,
+    raises ``ArithmeticError``.
     """
     # Lazy import: an eager scipy import costs every command ~25 MB and ~0.3 s.
     from scipy.linalg import eigh_tridiagonal
 
-    if mode not in EIGEN_MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, EIGEN_MODES))}, got {mode!r}")
     if not gen.connected():
         raise ArithmeticError("spectral gap undefined for a disconnected chain")
-    k = gen.n_cells - 2 if mode == "slowest" else 0
+    k = gen.n_cells - 2
     off = np.sqrt(gen.up[:-1] * gen.down[1:])
     lam = eigh_tridiagonal(gen.diag, off, eigvals_only=True, select="i", select_range=(k, k))
     return float(lam[0])

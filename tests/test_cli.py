@@ -263,15 +263,9 @@ def test_mode_flag_overrides_config(tmp_path, capsys):
     cfg = cfg_file(tmp_path, body)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path), "--mode", "ode"])
     assert rc == 0
-    assert "overrides" in capsys.readouterr().err
+    assert "flag --mode=ode overrides config mode=sde" in capsys.readouterr().err
     assert (tmp_path / "ovr.csv").exists()
     assert not (tmp_path / "ovr_summary.csv").exists()
-    # the message names the flag as it is typed, not as the config key
-    body = {"params": REF_PARAMS, "sweep": {"u_values": [0.5], "B_values": [0.4], "n_cells": 16,
-                                            "eigen_mode": "slowest"}}
-    cfg = cfg_file(tmp_path, body, "sweep.json")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--eigen-mode", "fastest"]) == 0
-    assert "flag --eigen-mode=fastest overrides config eigen_mode=slowest" in capsys.readouterr().err
 
 
 def test_simulate_invalid_params_exit1(tmp_path, capsys):
@@ -564,20 +558,24 @@ def test_density_initial_kinds(tmp_path, kind, rc):
     assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == rc
 
 
-def test_eigen_mode_flag_changes_gap(tmp_path):
-    body = {
-        "params": REF_PARAMS,
-        "density": {"u": 0.3, "B": 0.5, "n_cells": 32, "write": ["stationary"]},
-    }
+@pytest.mark.parametrize("command", ["density", "sweep"])
+def test_eigen_mode_key_and_flag_are_refused(tmp_path, command, capsys):
+    # the gap is always the slowest mode, and info.json still says so
+    body = {"params": REF_PARAMS, command: _small(command)}
     cfg = cfg_file(tmp_path, body)
-    gaps = {}
-    for mode in ("slowest", "fastest"):
-        out = tmp_path / mode
-        assert main(["density", "--config", cfg, "--out", str(out),
-                     "--eigen-mode", mode]) == 0
-        gaps[mode] = json.loads((out / "density_info.json").read_text())["spectral_gap"]
-    assert gaps["slowest"] < 0.0
-    assert gaps["fastest"] < gaps["slowest"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    if command == "density":
+        info = json.loads((tmp_path / "ok" / "density_info.json").read_text(encoding="utf-8"))
+        assert info["eigen_mode"] == "slowest"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), "--eigen-mode", "slowest"])
+    assert exc.value.code == 2
+    assert "--eigen-mode" in capsys.readouterr().err
+    body[command]["eigen_mode"] = "slowest"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f'error: unknown keys in "{command}": "eigen_mode"\n'
+    assert not out.exists()
 
 
 def test_sweep_grid_order_and_content(tmp_path):
@@ -970,7 +968,7 @@ def _small(command, **changes):
         ("examples", _small("examples", omega=_NAN), {}, "omega"),
         ("examples", _small("examples", systems=[{"r1": 1.0, "r2": _NAN, "x0": 1.0}]), {}, "r2"),
         ("density", _small("density", prefix=[1]), {}, "prefix"),
-        ("density", _small("density", write=["stationary"], eigen_mode="bogus"), {}, "eigen_mode"),
+        ("density", _small("density", write=["stationary"], eigen_mode="slowest"), {}, "eigen_mode"),
         ("examples", _small("examples", n_steps=0), {}, "n_steps"),
         ("examples", _SMALL["examples"], {"seed": -5}, "seed"),
         ("density", _small("density", initial={"kind": "uniform", "x": "zz"}), {}, "x"),
@@ -1055,29 +1053,57 @@ _GENERATOR_RUNS = {
 }
 
 
+_TIME_GRID_OVERFLOWS = {
+    # t_end / dt steps: past 2**63 np.arange wrapped to an empty grid, past ~2**60 numpy
+    # refused the size, and an infinite ratio failed to convert to an integer
+    "ode-2**63": (_small("simulate", dt=1.0, t_end=2.0**63), "9.223372036854776e+18 / 1.0"),
+    "sde-2**63": (_small("simulate", mode="sde", dt=1.0, t_end=2.0**63, n_paths=4),
+                  "9.223372036854776e+18 / 1.0"),
+    "dt-1e-300": (_small("simulate", dt=1e-300, t_end=1.0), "1.0 / 1e-300"),
+    "infinite-ratio": (_small("simulate", dt=1e-10, t_end=1e300), "1e+300 / 1e-10"),
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
 @pytest.mark.parametrize(
-    "command,block,message",
+    "command,C,block,message",
     [
+        # a valid but absurd capacity: the drift dD / C overflows the first step's state or every
+        # jump rate, and lambda / C, the certificates' unit of time, overflows
         (
-            "simulate", _small("simulate", mode="ode", dt=0.01, t_end=1.0, n_paths=4),
+            "simulate", 1e-320, _small("simulate", mode="ode", dt=0.01, t_end=1.0, n_paths=4),
             "non-finite state at t=0.01",
         ),
         (
-            "simulate", _small("simulate", mode="sde", dt=0.01, t_end=1.0, n_paths=4),
+            "simulate", 1e-320, _small("simulate", mode="sde", dt=0.01, t_end=1.0, n_paths=4),
             "non-finite state in ensemble",
         ),
-        ("sweep", _GENERATOR_RUNS["sweep"], "non-finite jump rate at (u, B) = (0.0, 0.5)"),
-        ("density", _GENERATOR_RUNS["density-stationary"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
-        ("density", _GENERATOR_RUNS["density-transient"], "non-finite jump rate at (u, B) = (0.2, 0.4)"),
-        ("certify", {"u_star": 0.0, "B_star": 0.4}, "lambda / C = inf is not a positive normal float"),
+        ("sweep", 1e-320, _GENERATOR_RUNS["sweep"], "non-finite jump rate at (u, B) = (0.0, 0.5)"),
+        ("density", 1e-320, _GENERATOR_RUNS["density-stationary"],
+         "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+        ("density", 1e-320, _GENERATOR_RUNS["density-transient"],
+         "non-finite jump rate at (u, B) = (0.2, 0.4)"),
+        ("certify", 1e-320, {"u_star": 0.0, "B_star": 0.4},
+         "lambda / C = inf is not a positive normal float"),
+        # a valid capacity and an interval or horizon of more steps than a float or an array holds
+        (
+            "density", REF_PARAMS["C"], _small("density", times=[1e308], dt=1e-300),
+            "step count of the interval 1e+308 ending at t = 1e+308 over dt = 1e-300 overflows",
+        ),
+        *[
+            ("simulate", REF_PARAMS["C"], block,
+             f"time grid t_end / dt = {ratio} has too many steps to allocate")
+            for block, ratio in _TIME_GRID_OVERFLOWS.values()
+        ],
+        (
+            "examples", REF_PARAMS["C"], _small("examples", n_steps=1e30),
+            "time grid t_end / dt = 1.0 / 9.999999999999999e-31 has too many steps to allocate",
+        ),
     ],
-    ids=["ode", "sde", *_GENERATOR_RUNS, "certify"],
+    ids=["ode", "sde", *_GENERATOR_RUNS, "certify", "density-steps", *_TIME_GRID_OVERFLOWS, "examples"],
 )
-def test_numerical_failure_exits_3_before_any_output(tmp_path, command, block, message, capsys):
-    # a valid but absurd capacity: the drift dD / C overflows the first step's state or every jump
-    # rate, and lambda / C, the certificates' unit of time, overflows
-    body = {"params": dict(REF_PARAMS, C=1e-320), command: block}
+def test_numerical_failure_exits_3_before_any_output(tmp_path, command, C, block, message, capsys):
+    body = {"params": dict(REF_PARAMS, C=C), command: block}
     out = tmp_path / "out"
     assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
@@ -1365,7 +1391,6 @@ _FUZZ_BASES = {
             "dt": 0.05,
             "write": ["transient", "cdf", "stationary"],
             "prefix": "d",
-            "eigen_mode": "slowest",
         },
     },
     "sweep": {
@@ -1375,7 +1400,6 @@ _FUZZ_BASES = {
             "B_values": [0.5],
             "n_cells": 32,
             "output": "w.csv",
-            "eigen_mode": "fastest",
         },
     },
     "certify": {
