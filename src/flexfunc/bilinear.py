@@ -27,6 +27,7 @@ import numpy as np
 from . import rng
 from ._csvio import write_csv
 from .dynamics import Trajectory, time_grid
+from .generator import MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,9 @@ def strong_convergence_study(
     block is the largest multiple of lcm(dt / dt_fine) that fits in
     ``_CHUNK`` steps, or the lcm itself when that is larger, so each block
     holds whole coarse steps and memory is O(n_paths * max(_CHUNK, lcm)).
-    A system that every step size solves exactly has no error slope and
-    raises ``ArithmeticError``.
+    A system that every step size solves exactly has no error slope, and a
+    finest dt that takes more than ``MAX_STEPS`` steps to t_end is refused
+    before any draw; both raise ``ArithmeticError``.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -136,7 +138,12 @@ def strong_convergence_study(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     dt_fine = dts[-1]
-    n_fine = int(round(t_end / dt_fine))
+    with np.errstate(over="ignore"):  # refused below
+        fine_steps = t_end / dt_fine
+    if not fine_steps <= MAX_STEPS:  # an infinite ratio too
+        raise ArithmeticError(f"the finest dt {float(dt_fine)!r} takes {fine_steps:.6g} steps to "
+                              f"t_end = {t_end!r}, more than the limit of {MAX_STEPS:.6g}")
+    n_fine = int(round(fine_steps))
     if abs(n_fine * dt_fine - t_end) > 1e-12 * t_end:
         raise ValueError("finest dt must divide t_end in whole steps")
     ratios = []

@@ -4,9 +4,9 @@ One JSON config file drives each run; subcommands pick the block they
 need.  One table of fields checks the whole config before any output
 directory is created.  All outputs are CSV (single header row, full double
 precision) or JSON files under --out, deterministic given the config and
-master seed and byte-identical across repeated runs.  ``--threads`` and the
-"threads" key are accepted and checked so that older configs keep working;
-they have no effect.
+byte-identical across repeated runs: no flag changes a setting.
+``--threads`` and the "threads" key are accepted and checked so that older
+scripts and configs keep working; they have no effect.
 
 Exit codes: 0 success, 1 validation or certificate failure, 2 usage,
 config or output-path error, 3 numerical failure or out of memory.
@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,7 @@ EXIT_NUMERICAL = 3
 
 
 class ConfigError(Exception):
-    """Config contents (or flag combination) the CLI cannot act on."""
+    """Config contents (or a --threads value) the CLI cannot act on."""
 
 
 def _load_config(path: str) -> dict:
@@ -138,9 +139,22 @@ def _positive(value, name: str) -> float:
     return number
 
 
-def _text(value, name: str) -> str:
+_SEPARATORS = {"/", os.sep}  # os.altsep is "/" or None
+
+
+def _prefix(value, name: str) -> str:
+    """A string that starts file names in --out, so it has no path separator."""
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
+    if _SEPARATORS & set(value):
+        raise ConfigError(f"{name} must have no path separator, got {value!r}")
+    return value
+
+
+def _file_name(value, name: str) -> str:
+    """A prefix that is a whole file name: not "", "." or ".."."""
+    if _prefix(value, name) in ("", ".", ".."):
+        raise ConfigError(f"{name} must name a file, got {value!r}")
     return value
 
 
@@ -280,7 +294,7 @@ _SIMULATE = _object({
     "t_end": (_positive, None),
     "n_paths": (_count, None),
     "sample_paths": (_int, 0),
-    "output": (_text, "simulate.csv"),
+    "output": (_file_name, "simulate.csv"),
 }, _simulate)
 _DENSITY = _object({
     "u": (_unit, _REQUIRED),
@@ -292,13 +306,13 @@ _DENSITY = _object({
     "dt": (_positive, None),
     "write": (_list(_one_of("transient", "cdf", "stationary"), what="names"),
               ["transient", "stationary"]),
-    "prefix": (_text, "density"),
+    "prefix": (_prefix, "density"),
 }, _density)
 _SWEEP = _object({
     "u_values": (_sweep_values, _REQUIRED),
     "B_values": (_sweep_values, _REQUIRED),
     "n_cells": (_n_cells, 200),
-    "output": (_text, "sweep.csv"),
+    "output": (_file_name, "sweep.csv"),
 })
 _CERTIFY = _object({
     "u_star": (_corner, _REQUIRED),
@@ -306,7 +320,7 @@ _CERTIFY = _object({
     "theta": (_theta, 0.5),
     "target_radius": (_target_radius, 1.0),
     "grid_n": (_grid_n, 2001),
-    "output": (_text, "certificates.json"),
+    "output": (_file_name, "certificates.json"),
 })
 _SYSTEM = _object(
     {"r1": (_finite, 1.0), "r2": (_finite, -1.2), "x0": (_finite, 1.0)}, bilinear.BilinearParams
@@ -323,7 +337,7 @@ _EXAMPLES = _object({
         "n_paths": (_count, 1000),
         "t_end": (_positive, 1.0),
     }), {}),
-    "prefix": (_text, "examples"),
+    "prefix": (_prefix, "examples"),
 })
 _CONFIG = _object({
     "params": (_params, _REQUIRED),
@@ -337,20 +351,11 @@ _CONFIG = _object({
 })
 
 
-def _read_config(args) -> dict:
-    """The checked config, with each flag of ``args`` in place of its key."""
-    cfg = _load_config(args.config)
-    if args.command != "validate" and args.command not in cfg:
-        raise ConfigError(f'config must contain a "{args.command}" block for this command')
-    # A flag replaces its key before the checks, so the two follow one rule.
-    block = cfg.get(args.command)
-    flags = [(block, "mode", getattr(args, "mode", None)), (cfg, "seed", args.seed),
-             (cfg, "threads", args.threads)]
-    for where, key, value in flags:
-        if value is not None and isinstance(where, dict):
-            if key in where and where[key] != value:
-                print(f"flag --{key}={value} overrides config {key}={where[key]}", file=sys.stderr)
-            where[key] = value
+def _read_config(path: str, command: str) -> dict:
+    """The checked config, which must hold ``command``'s block."""
+    cfg = _load_config(path)
+    if command != "validate" and command not in cfg:
+        raise ConfigError(f'config must contain a "{command}" block for this command')
     return _CONFIG(cfg, "")
 
 
@@ -526,23 +531,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--threads", type=int, help="accepted for older scripts; no effect")
-        if command == "simulate":
-            p.add_argument("--mode", choices=("ode", "sde"), help="integrator family")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _read_config(args)
+        if args.threads is not None:
+            _count(args.threads, "--threads")
+        cfg = _read_config(args.config, args.command)
         # validate reports on the params itself; the toy systems of examples ignore them
         if args.command not in ("validate", "examples") and not _require_valid(cfg["params"]):
             return EXIT_FAIL
         return args.handler(cfg, args.out)
     # numerical failures first: np.linalg.LinAlgError is also a ValueError
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

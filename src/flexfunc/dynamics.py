@@ -194,7 +194,7 @@ def integrate_ode(
         k4 = _drift_scalar(params, x + dt * k3, g[j1], B[j1])
         x_new = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not math.isfinite(x_new):
-            raise RuntimeError(f"non-finite state at t={times[i] + dt}")
+            raise FloatingPointError(f"non-finite state at t={times[i] + dt}")
         x_new = min(1.0, max(0.0, x_new))
         if x_new == x and j0 == j1:
             # a fixed point of segment j0's step map holds until a step ends in a later segment
@@ -250,7 +250,7 @@ def simulate_sde(
     at most ``_CHUNK`` steps at a time: each time-major (steps, n_paths)
     noise block that ``rng.normal_blocks`` yields becomes the state block,
     and each step overwrites its row with the pre-clamp states.  A
-    non-finite state raises ``RuntimeError``; otherwise the block's
+    non-finite state raises ``FloatingPointError``; otherwise the block's
     extremes update ``pre_clamp_min``/``max``, the block is clamped, the
     first ``keep`` paths (all of them when None) are copied out, the mean
     and variance are taken along each row, and the rows are then sorted in
@@ -291,7 +291,7 @@ def simulate_sde(
                 np.clip(x, 0.0, 1.0, out=x)
         b_lo, b_hi = float(block.min()), float(block.max())
         if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
-            raise RuntimeError("non-finite state in ensemble")
+            raise FloatingPointError("non-finite state in ensemble")
         lo, hi = min(lo, b_lo), max(hi, b_hi)
         np.clip(block, 0.0, 1.0, out=block)
         cols = slice(s0 + 1, s1 + 1)

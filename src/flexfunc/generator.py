@@ -33,6 +33,12 @@ from ._csvio import write_csv
 from .model import FlexParams, check_unit, diffusion, drift
 
 MIN_CELLS = 16  # the coarsest grid build_generator takes
+# The most time steps one transient series or one convergence study takes.  A
+# gttrs step costs 3.2-3.4 us at 200 cells and 25-28 us at 2000 (2-core host),
+# and a fine step of the study 13 us at 1 path and 54 us at 1000, so the limit
+# is about 35 s of solves at the default 200 cells, 10^4 times a default series
+# (1000 steps) and over 2000 times the default study (4096 fine steps).
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,9 @@ def evolve_pdf(
     column diagonally dominant, so partial pivoting never swaps rows and the
     factors keep the M-matrix sign pattern.
 
-    A zero pivot raises ``ArithmeticError``, and so do an interval whose
-    span / dt overflows and, naming the step, a non-finite band and an
+    A zero pivot raises ``ArithmeticError``, and so do, before any solve, an
+    interval whose span / dt overflows and a series of more than
+    ``MAX_STEPS`` steps and, naming the step, a non-finite band and an
     interval that ends with a negative probability or a mass more than 1e-9
     (the slack pdf0 gets) from 1: a step so long that step * rate dwarfs
     1 / eps loses the identity in I - step G^T.
@@ -213,18 +220,23 @@ def evolve_pdf(
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
+    spans = np.diff(times, prepend=0.0)
+    with np.errstate(over="ignore"):  # refused below
+        ratios = spans / dt
+    n_subs = np.where(spans > 0.0, np.maximum(1.0, np.ceil(ratios - 1e-12)), 0.0)
+    for span, t, total in zip(spans, times, np.cumsum(n_subs)):
+        if not np.isfinite(total):
+            raise ArithmeticError(f"step count of the interval {float(span)!r} ending at "
+                                  f"t = {float(t)!r} over dt = {dt!r} overflows")
+        if total > MAX_STEPS:
+            raise ArithmeticError(f"the interval {float(span)!r} ending at t = {float(t)!r} over "
+                                  f"dt = {dt!r} takes the series to {total:.6g} steps, "
+                                  f"more than the limit of {MAX_STEPS:.6g}")
+
     p = pdf0 * h  # probabilities
-    t_now = 0.0
     out = np.empty((len(times), gen.n_cells))
-    for j, t in enumerate(times):
-        span = t - t_now
-        if span > 0.0:
-            with np.errstate(over="ignore"):  # refused below
-                ratio = span / dt
-            if not np.isfinite(ratio):
-                raise ArithmeticError(f"step count of the interval {float(span)!r} ending at "
-                                      f"t = {float(t)!r} over dt = {dt!r} overflows")
-            n_sub = max(1, int(np.ceil(ratio - 1e-12)))
+    for j, (t, span, n_sub) in enumerate(zip(times, spans, n_subs.astype(int))):
+        if n_sub > 0:
             step = span / n_sub
             # bands of A = I - step*G^T:  sub_A = -step*up[:-1], sup_A = -step*down[1:]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -242,7 +254,6 @@ def evolve_pdf(
                     f"implicit steps of {float(step)!r} lost mass or positivity by t = {float(t)!r}: "
                     f"probabilities sum to {float(p.sum())!r}, smallest {float(p.min())!r}"
                 )
-            t_now = t
         out[j] = p / h
     return DistributionSeries(times=times, grid=gen.grid, pdfs=out)
 

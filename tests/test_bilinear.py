@@ -157,6 +157,10 @@ def test_convergence_validation():
     for bad in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             bilinear.strong_convergence_study(bp, dts=[0.5, 0.25], t_end=bad)
+    # more fine steps than the limit, or more than a float holds, are refused before any draw
+    for dts, t_end in (([2e-7, 1e-7], 2.0), ([2e-300, 1e-300], 1e300)):
+        with pytest.raises(ArithmeticError, match="more than the limit"):
+            bilinear.strong_convergence_study(bp, dts=dts, t_end=t_end)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])

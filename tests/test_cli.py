@@ -248,26 +248,6 @@ def test_simulate_sde_rejects_bad_n_paths(tmp_path, n_paths, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
-def test_mode_flag_overrides_config(tmp_path, capsys):
-    body = {
-        "params": REF_PARAMS,
-        "simulate": {
-            "mode": "sde",
-            "x0": 0.5,
-            "schedule": {"u": 0.5, "B": 0.4},
-            "t_end": 1.0,
-            "n_paths": 4,
-            "output": "ovr.csv",
-        },
-    }
-    cfg = cfg_file(tmp_path, body)
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path), "--mode", "ode"])
-    assert rc == 0
-    assert "flag --mode=ode overrides config mode=sde" in capsys.readouterr().err
-    assert (tmp_path / "ovr.csv").exists()
-    assert not (tmp_path / "ovr_summary.csv").exists()
-
-
 def test_simulate_invalid_params_exit1(tmp_path, capsys):
     body = {
         "params": BAD_PARAMS,
@@ -847,11 +827,21 @@ def test_examples_writes_tables(tmp_path, capsys):
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--threads", "0"]])
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--threads", "0"], ["--mode", "ode"]])
 def test_flag_validation(tmp_path, flags, capsys):
-    cfg = cfg_file(tmp_path, {"params": REF_PARAMS})
-    assert main(["validate", "--config", cfg] + flags) == 2
-    assert "error" in capsys.readouterr().err
+    # --threads is a checked no-op; the seed and the mode come from the config alone
+    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "simulate": _small("simulate")})
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", cfg, "--out", str(out), *flags]
+    if flags[0] == "--threads":
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sde_byte_determinism_subprocess(tmp_path):
@@ -995,6 +985,27 @@ def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key
 
 
 @pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("certify", "output", ""),
+        ("certify", "output", ".."),
+        ("certify", "output", "a/b.json"),
+        ("sweep", "output", ""),
+        ("density", "prefix", "a/b"),
+        ("examples", "prefix", "x/y"),
+        ("simulate", "output", "d/r.csv"),
+    ],
+)
+def test_output_names_are_file_names_in_out(tmp_path, command, key, value, capsys):
+    # a name that is no file in --out is a config error, so --out is never created
+    body = {"params": REF_PARAMS, command: _small(command, **{key: value})}
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f'error: {command} "{key}" must ')
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,block,top,key",
     [
         ("density", _small("density", u=10**400), {}, "u"),
@@ -1099,8 +1110,19 @@ _TIME_GRID_OVERFLOWS = {
             "examples", REF_PARAMS["C"], _small("examples", n_steps=1e30),
             "time grid t_end / dt = 1.0 / 9.999999999999999e-31 has too many steps to allocate",
         ),
+        # finite step counts that would take days: refused before the first step
+        (
+            "density", REF_PARAMS["C"], _small("density", times=[1.0], dt=1e-15),
+            "the interval 1.0 ending at t = 1.0 over dt = 1e-15 takes the series to 1e+15 steps, "
+            "more than the limit of 1e+07",
+        ),
+        (
+            "examples", REF_PARAMS["C"], _small("examples", convergence={"dts": [2e-15, 1e-15], "n_paths": 2}),
+            "the finest dt 1e-15 takes 1e+15 steps to t_end = 1.0, more than the limit of 1e+07",
+        ),
     ],
-    ids=["ode", "sde", *_GENERATOR_RUNS, "certify", "density-steps", *_TIME_GRID_OVERFLOWS, "examples"],
+    ids=["ode", "sde", *_GENERATOR_RUNS, "certify", "density-steps", *_TIME_GRID_OVERFLOWS, "examples",
+         "density-step-limit", "examples-step-limit"],
 )
 def test_numerical_failure_exits_3_before_any_output(tmp_path, command, C, block, message, capsys):
     body = {"params": dict(REF_PARAMS, C=C), command: block}
@@ -1270,9 +1292,10 @@ def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
 def test_examples_accept_the_largest_seed(tmp_path):
     # demo system i draws from seed + i modulo 2**64, so the seeds wrap past 2**64 - 1
     system = {"r1": 1.0, "r2": -1.2, "x0": 1.0}
-    cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "examples": _small("examples", systems=[system] * 2)})
+    block = _small("examples", systems=[system] * 2)
     for seed in (2**64 - 1, 2**64 - 2):
-        assert main(["examples", "--config", cfg, "--out", str(tmp_path / str(seed)), "--seed", str(seed)]) == 0
+        cfg = cfg_file(tmp_path, {"params": REF_PARAMS, "seed": seed, "examples": block})
+        assert main(["examples", "--config", cfg, "--out", str(tmp_path / str(seed))]) == 0
     paths = tmp_path / str(2**64 - 1) / "examples_system1_paths.csv"
     assert paths.read_bytes() == (tmp_path / str(2**64 - 2) / "examples_system2_paths.csv").read_bytes()
 
@@ -1284,13 +1307,20 @@ def test_examples_accept_the_largest_seed(tmp_path):
     ids=[*_SMALL, "simulate-sde"],
 )
 def test_seeds_above_the_largest_are_refused_before_any_output(tmp_path, command, block, flag, capsys):
+    # the seed is a config key only: --seed is refused whatever its value
     body = {"params": REF_PARAMS, command: block}
     if not flag:
         body["seed"] = 2**64
     out = tmp_path / "out"
     argv = [command, "--config", cfg_file(tmp_path, body), "--out", str(out)]
-    assert main(argv + (["--seed", str(2**64)] if flag else [])) == 2
-    assert f'"seed" must be <= {2**64 - 1}, got {2**64}' in capsys.readouterr().err
+    if flag:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", str(2**64)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --seed {2**64}" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert f'"seed" must be <= {2**64 - 1}, got {2**64}' in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -275,9 +275,9 @@ def test_ode_piecewise_schedule(p):
 def test_non_finite_state_message_has_no_prefix(p):
     # the CLI prefixes "numerical failure: " itself
     bad = FlexParams(C=float("nan"))
-    with pytest.raises(RuntimeError, match=r"^non-finite state"):
+    with pytest.raises(FloatingPointError, match=r"^non-finite state"):
         dynamics.integrate_ode(bad, 0.5, Schedule.constant(0.5, 0.5), dt=0.1, t_end=1.0)
-    with pytest.raises(RuntimeError, match=r"^non-finite state"):
+    with pytest.raises(FloatingPointError, match=r"^non-finite state"):
         dynamics.simulate_sde(bad, 0.5, Schedule.constant(0.5, 0.5), 4, 0, dt=0.1, t_end=1.0)
 
 

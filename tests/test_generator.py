@@ -156,6 +156,17 @@ def test_evolve_validation(gen):
         generator.evolve_pdf(gen, 2 * pdf0, [1.0])
 
 
+def test_evolve_refuses_a_series_of_too_many_steps_before_any_solve(gen, monkeypatch):
+    # the limit is on the whole series: no interval alone exceeds it, the two together do
+    import scipy.linalg.lapack
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", None)  # a solve would raise TypeError
+    pdf0 = generator.point_mass_pdf(gen.grid, 0.5)
+    dt = 1.0 / (0.6 * generator.MAX_STEPS)
+    with pytest.raises(ArithmeticError, match=r"^the interval 1\.0 ending at t = 2\.0 .* more than the limit"):
+        generator.evolve_pdf(gen, pdf0, [1.0, 2.0], dt=dt)
+
+
 def test_cdf_series(gen):
     pdf0 = generator.point_mass_pdf(gen.grid, 0.5)
     series = generator.evolve_pdf(gen, pdf0, [0.5, 5.0]).cumulative()
