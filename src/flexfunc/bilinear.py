@@ -12,7 +12,9 @@ linear, the SDE is exactly solvable pathwise, and the almost-sure growth
 rate r1 - r2^2 / 2 can differ in sign from the mean growth rate r1 + r2
 (mean-square unstable but almost-surely stable, and vice versa).  A strong
 convergence study of Euler-Maruyama against the exact solution on shared
-Brownian increments exhibits the order-1/2 error decay.
+Brownian increments exhibits the order-1/2 error decay.  ``mean_ode``,
+``demo_paths`` and the study raise ``FloatingPointError`` for a state or an
+error that is not finite, checking each array they return once.
 """
 
 from __future__ import annotations
@@ -62,7 +64,13 @@ def mean_ode(bp: BilinearParams, omega: float, dt: float, t_end: float) -> Traje
 
     times = time_grid(dt, t_end)
     states = itertools.accumulate(range(len(times) - 1), step, initial=float(bp.x0))
-    return Trajectory(times=times, states=np.fromiter(states, float, len(times)))
+    return Trajectory(times=times, states=_finite(np.fromiter(states, float, len(times)), "mean path"))
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite {what}")
+    return values
 
 
 def exact_path(bp: BilinearParams, times: np.ndarray, w_path: np.ndarray) -> np.ndarray:
@@ -157,16 +165,16 @@ def strong_convergence_study(
     rows = every_ratio * max(1, rng._CHUNK // every_ratio)
     xs = [np.full(n_paths, float(bp.x0)) for _ in ratios]
     w_end = np.zeros(n_paths)
-    for dw_fine in rng.normal_blocks(master_seed, range(n_paths), n_fine, rows):
-        dw_fine *= math.sqrt(dt_fine)
-        w_end += dw_fine.sum(axis=0)
-        for j, (dt, ratio) in enumerate(zip(dts, ratios)):
-            dw = dw_fine if ratio == 1 else dw_fine.reshape(-1, ratio, n_paths).sum(axis=1)
-            for xs[j] in em_path(bp, dt, dw, xs[j]):
-                pass
-    x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
-
-    errors = np.array([np.mean(np.abs(x - x_exact_end)) for x in xs])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error is refused below
+        for dw_fine in rng.normal_blocks(master_seed, range(n_paths), n_fine, rows):
+            dw_fine *= math.sqrt(dt_fine)
+            w_end += dw_fine.sum(axis=0)
+            for j, (dt, ratio) in enumerate(zip(dts, ratios)):
+                dw = dw_fine if ratio == 1 else dw_fine.reshape(-1, ratio, n_paths).sum(axis=1)
+                for xs[j] in em_path(bp, dt, dw, xs[j]):
+                    pass
+        x_exact_end = exact_path(bp, np.full(n_paths, t_end), w_end)
+        errors = _finite(np.array([np.mean(np.abs(x - x_exact_end)) for x in xs]), "strong error")
     if not errors.any():
         raise ArithmeticError("every strong error is 0, so there is no slope to fit")
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
@@ -186,7 +194,9 @@ def demo_paths(
     times = time_grid(dt, t_end)
     dw = math.sqrt(dt) * rng.path_normals(master_seed, 0, n_steps)
     w_path = np.concatenate(([0.0], np.cumsum(dw)))
-    return times, np.array(list(em_path(bp, dt, dw))), exact_path(bp, times, w_path)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x_em, x_exact = np.array(list(em_path(bp, dt, dw))), exact_path(bp, times, w_path)
+    return times, _finite(x_em, "Euler-Maruyama path"), _finite(x_exact, "exact path")
 
 
 def write_paths_csv(path, times: np.ndarray, x_em: np.ndarray, x_exact: np.ndarray) -> None:

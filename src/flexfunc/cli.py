@@ -1,15 +1,16 @@
 """Batch command-line front end.
 
 One JSON config file drives each run; subcommands pick the block they
-need.  One table of fields checks the whole config before any output
-directory is created.  All outputs are CSV (single header row, full double
-precision) or JSON files under --out, deterministic given the config and
-byte-identical across repeated runs: no flag changes a setting.
-``--threads`` and the "threads" key are accepted and checked so that older
-scripts and configs keep working; they have no effect.
+need.  One table of fields checks the whole config before any work.  All
+outputs are CSV (single header row, full double precision) or JSON files
+under --out, deterministic given the config and byte-identical across
+repeated runs: no flag changes a setting.  ``--threads`` and the "threads"
+key are accepted and checked so that older scripts and configs keep
+working; they have no effect.
 
 Exit codes: 0 success, 1 validation or certificate failure, 2 usage,
-config or output-path error, 3 numerical failure or out of memory.
+config or output-path error, 3 numerical failure or out of memory.  Only
+``main`` creates --out, and only when the command exits 0 or 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from .certificates import MIN_GRID_N
 from .dynamics import Schedule, Trajectory, integrate_ode, simulate_sde
 from .equilibria import CORNERS, certify_deterministic
 from .generator import (
+    MAX_STEPS,
     MIN_CELLS,
     build_generator,
     density_moments,
@@ -104,7 +107,7 @@ def _int(value, name: str, low=-math.inf, high=math.inf) -> int:
 _count = functools.partial(_int, low=1)
 _seed = functools.partial(_int, low=0, high=rng._U64_MAX)
 _n_cells = functools.partial(_int, low=MIN_CELLS)
-_grid_n = functools.partial(_int, low=MIN_GRID_N)
+_grid_n = functools.partial(_int, low=MIN_GRID_N, high=MAX_STEPS)
 
 
 def _finite(value, name: str) -> float:
@@ -257,7 +260,8 @@ def _schedule(value, name: str) -> Schedule:
 
 
 _RANGE = _object(
-    {"start": (_finite, _REQUIRED), "stop": (_finite, _REQUIRED), "count": (_count, _REQUIRED)}
+    {"start": (_finite, _REQUIRED), "stop": (_finite, _REQUIRED),
+     "count": (functools.partial(_count, high=MAX_STEPS), _REQUIRED)}
 )
 
 
@@ -367,13 +371,7 @@ def _require_valid(params: FlexParams) -> bool:
     return rep.ok
 
 
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_validate(cfg: dict, out: str) -> int:
+def cmd_validate(cfg: dict) -> int:
     rep = validate(cfg["params"])
     for msg in rep.violations:
         print(msg)
@@ -385,33 +383,32 @@ def cmd_validate(cfg: dict, out: str) -> int:
     return EXIT_FAIL
 
 
-def cmd_simulate(cfg: dict, out: str) -> int:
+# Every handler but cmd_validate writes into ``stage`` and prints ``out``, where main moves the files.
+def cmd_simulate(cfg: dict, stage: Path, out: Path) -> int:
     params, block = cfg["params"], cfg["simulate"]
     x0_list, schedule, dt, t_end = block["x0"], block["schedule"], block["dt"], block["t_end"]
     stem = block["output"].removesuffix(".csv")
 
     if block["mode"] == "ode":
-        trajs = [integrate_ode(params, x0, schedule, dt=dt, t_end=t_end) for x0 in x0_list]
-        out = _out_dir(out)
-        for i, traj in enumerate(trajs, start=1):
-            traj.to_csv(out / (block["output"] if len(trajs) == 1 else f"{stem}_{i:02d}.csv"))
-        print(f"wrote {len(trajs)} trajectory file(s) to {out}")
+        for i, x0 in enumerate(x0_list, start=1):
+            traj = integrate_ode(params, x0, schedule, dt=dt, t_end=t_end)
+            traj.to_csv(stage / (block["output"] if len(x0_list) == 1 else f"{stem}_{i:02d}.csv"))
+        print(f"wrote {len(x0_list)} trajectory file(s) to {out}")
         return EXIT_OK
 
     ens = simulate_sde(
         params, x0_list[0], schedule, block["n_paths"], master_seed=cfg["seed"], dt=dt,
         t_end=t_end, keep=block["sample_paths"],
     )
-    out = _out_dir(out)
-    ens.to_csv(out / f"{stem}_summary.csv")
+    ens.to_csv(stage / f"{stem}_summary.csv")
     for i, path in enumerate(ens.states, start=1):
-        Trajectory(ens.times, path).to_csv(out / f"{stem}_path{i:02d}.csv")
+        Trajectory(ens.times, path).to_csv(stage / f"{stem}_path{i:02d}.csv")
     print(f"wrote ensemble summary and {len(ens.states)} sample path(s) to {out}")
     print(f"pre-clamp state range: min={ens.pre_clamp_min!r} max={ens.pre_clamp_max!r}")
     return EXIT_OK
 
 
-def cmd_density(cfg: dict, out: str) -> int:
+def cmd_density(cfg: dict, stage: Path, out: Path) -> int:
     params, block = cfg["params"], cfg["density"]
     prefix, write, initial = block["prefix"], block["write"], block["initial"]
 
@@ -430,19 +427,18 @@ def cmd_density(cfg: dict, out: str) -> int:
         "spectral_gap": spectral_gap(gen),
     }
 
-    out = _out_dir(out)
     if "transient" in write:
-        series.to_csv(out / f"{prefix}_transient.csv")
+        series.to_csv(stage / f"{prefix}_transient.csv")
     if "cdf" in write:
-        series.cumulative().to_csv(out / f"{prefix}_cdf.csv", value_label="cdf")
+        series.cumulative().to_csv(stage / f"{prefix}_cdf.csv", value_label="cdf")
     if "stationary" in write:
-        write_stationary_csv(out / f"{prefix}_stationary.csv", gen.grid, pdf_inf)
-    (out / f"{prefix}_info.json").write_text(json.dumps(info, indent=2) + "\n", encoding="utf-8")
+        write_stationary_csv(stage / f"{prefix}_stationary.csv", gen.grid, pdf_inf)
+    (stage / f"{prefix}_info.json").write_text(json.dumps(info, indent=2) + "\n", encoding="utf-8")
     print(f"wrote density outputs ({', '.join(write)}) and {prefix}_info.json to {out}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out: str) -> int:
+def cmd_sweep(cfg: dict, stage: Path, out: Path) -> int:
     params, block = cfg["params"], cfg["sweep"]
     n_cells = block["n_cells"]
 
@@ -451,13 +447,12 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         for B in block["B_values"]:
             gen = build_generator(params, u, B, n_cells=n_cells)
             rows.append((u, B, *stationary_moments(gen), spectral_gap(gen)))
-    path = _out_dir(out) / block["output"]
-    write_csv(path, "u,B,mean,var,gap", zip(*rows))
-    print(f"wrote {len(rows)} sweep rows to {path}")
+    write_csv(stage / block["output"], "u,B,mean,var,gap", zip(*rows))
+    print(f"wrote {len(rows)} sweep rows to {out / block['output']}")
     return EXIT_OK
 
 
-def cmd_certify(cfg: dict, out: str) -> int:
+def cmd_certify(cfg: dict, stage: Path, out: Path) -> int:
     params, block = cfg["params"], cfg["certify"]
     u_star, B_star, theta = block["u_star"], block["B_star"], block["theta"]
     target_radius, grid_n = block["target_radius"], block["grid_n"]
@@ -478,7 +473,7 @@ def cmd_certify(cfg: dict, out: str) -> int:
         "theta": theta, "target_radius": target_radius, "stable_radius": radius,
         "radius_meets_target": radius_ok, "sigma_max": sigma_max, "overall_pass": overall,
     }
-    (_out_dir(out) / block["output"]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    (stage / block["output"]).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     for c in certs:
         state = "pass" if c.passed else "FAIL"
@@ -491,24 +486,19 @@ def cmd_certify(cfg: dict, out: str) -> int:
     return EXIT_OK if overall else EXIT_FAIL
 
 
-def cmd_examples(cfg: dict, out: str) -> int:
+def cmd_examples(cfg: dict, stage: Path, out: Path) -> int:
     block, seed = cfg["examples"], cfg["seed"]
     toys, t_end, prefix = block["systems"], block["t_end"], block["prefix"]
     conv = block["convergence"]
     study = bilinear.strong_convergence_study(
         toys[0], dts=conv["dts"], n_paths=conv["n_paths"], master_seed=seed, t_end=conv["t_end"]
     )
-    systems = [
-        (bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end),
-         bilinear.demo_paths(bp, t_end, block["n_steps"], (seed + i) % (rng._U64_MAX + 1)))
-        for i, bp in enumerate(toys, start=1)
-    ]
-    out = _out_dir(out)
-
-    for i, (mean, paths) in enumerate(systems, start=1):
-        mean.to_csv(out / f"{prefix}_system{i}_mean.csv")
-        bilinear.write_paths_csv(out / f"{prefix}_system{i}_paths.csv", *paths)
-    study.to_csv(out / f"{prefix}_convergence.csv")
+    for i, bp in enumerate(toys, start=1):
+        mean = bilinear.mean_ode(bp, block["omega"], block["mean_dt"], t_end)
+        mean.to_csv(stage / f"{prefix}_system{i}_mean.csv")
+        paths = bilinear.demo_paths(bp, t_end, block["n_steps"], (seed + i) % (rng._U64_MAX + 1))
+        bilinear.write_paths_csv(stage / f"{prefix}_system{i}_paths.csv", *paths)
+    study.to_csv(stage / f"{prefix}_convergence.csv")
     print(f"wrote {len(toys)} system(s) and convergence table to {out}")
     print(f"strong-error slope: {study.slope!r}")
     return EXIT_OK
@@ -541,10 +531,19 @@ def main(argv=None) -> int:
         if args.threads is not None:
             _count(args.threads, "--threads")
         cfg = _read_config(args.config, args.command)
-        # validate reports on the params itself; the toy systems of examples ignore them
-        if args.command not in ("validate", "examples") and not _require_valid(cfg["params"]):
+        if args.command == "validate":  # reports on the params itself and writes nothing
+            return cmd_validate(cfg)
+        if args.command != "examples" and not _require_valid(cfg["params"]):  # its toys take no params
             return EXIT_FAIL
-        return args.handler(cfg, args.out)
+        # the handler writes into a stage on the file system of --out; its files move in on return
+        out = Path(args.out)
+        here = next((p for p in (out, *out.parents) if p.exists()), out)
+        with tempfile.TemporaryDirectory(prefix=".flexfunc.partial-", dir=here) as stage:
+            code = args.handler(cfg, Path(stage), out)
+            out.mkdir(parents=True, exist_ok=True)
+            for path in Path(stage).iterdir():
+                os.replace(path, out / path.name)
+        return code
     # numerical failures first: np.linalg.LinAlgError is also a ValueError
     except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -11,8 +11,7 @@ on that stream.  A tile reads its stream in order and nothing jumps a
 stream by its counter, so drawing a tile in blocks of steps gives the same
 numbers as drawing it in one call, although the ziggurat takes a varying
 number of raw draws per normal.  ``normal_blocks`` is the one walk the
-package draws noise by; ``normals``, one whole-matrix call per tile, is the
-reference the tests compare it with.
+package draws noise by.
 """
 
 from __future__ import annotations
@@ -59,17 +58,6 @@ def normal_blocks(master_seed: int, paths: range, n_steps: int, rows: int):
         for stream, cols, tile_cols in tiles:
             block[:, cols] = stream.standard_normal((len(block), _TILE))[:, tile_cols]
         yield block
-
-
-def normals(master_seed: int, paths, n: int) -> np.ndarray:
-    """``n`` standard normal draws per path index of ``paths``, one row per path.
-
-    Every tile the paths touch is drawn once, as (n, ``_TILE``), and each
-    path's row is its column of that draw.
-    """
-    paths = [check_seed(p, "path index") for p in paths]
-    drawn = {t: tile_stream(master_seed, t).standard_normal((n, _TILE)) for t in {p // _TILE for p in paths}}
-    return np.array([drawn[p // _TILE][:, p % _TILE] for p in paths]).reshape(len(paths), n)
 
 
 def path_normals(master_seed: int, path_index: int, n: int) -> np.ndarray:

@@ -36,3 +36,15 @@ def growth_estimate(bp, t_end, n_paths, master_seed):
     w_end = math.sqrt(t_end) * next(rng.normal_blocks(master_seed, range(n_paths), 1, 1))[0]
     x_end = bilinear.exact_path(bp, np.full(n_paths, t_end), w_end)
     return float(np.mean(np.log(np.abs(x_end)) / t_end))
+
+
+def normals(master_seed, paths, n):
+    """The whole-matrix reference draws of ``rng``: ``n`` normals per path index of ``paths``, one row per path.
+
+    Every tile the paths touch is drawn once, as (n, 64), and each path's
+    row is its column of that draw.
+    """
+    paths = [rng.check_seed(p, "path index") for p in paths]
+    tiles = {p // rng._TILE for p in paths}
+    drawn = {t: rng.tile_stream(master_seed, t).standard_normal((n, rng._TILE)) for t in tiles}
+    return np.array([drawn[p // rng._TILE][:, p % rng._TILE] for p in paths]).reshape(len(paths), n)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flexfunc import bilinear, rng
 from flexfunc.bilinear import BilinearParams
 from flexfunc.dynamics import time_grid
+from strategies import normals
 
 
 def test_growth_rates():
@@ -217,6 +218,28 @@ def test_convergence_study_refuses_all_zero_errors(bp):
         bilinear.strong_convergence_study(bp, dts=[0.25, 0.125], n_paths=4)
 
 
+_RUNS = {
+    "mean_ode": lambda bp: bilinear.mean_ode(bp, 1.0, 0.01, 1.0),
+    "demo_paths": lambda bp: bilinear.demo_paths(bp, 1.0, 256, 2),
+    "study": lambda bp: bilinear.strong_convergence_study(bp, dts=[0.25, 0.125], n_paths=4),
+}
+
+
+@pytest.mark.parametrize(
+    "run,bp,what",
+    [
+        *[(run, BilinearParams(r1=-1e308), what)
+          for run, what in zip(_RUNS, ("mean path", "Euler-Maruyama path", "strong error"))],
+        ("demo_paths", BilinearParams(r1=1.0, r2=2.0, x0=-1e308), "Euler-Maruyama path"),
+        ("study", BilinearParams(x0=-1e308), "strong error"),
+    ],
+)
+def test_a_non_finite_result_is_refused(run, bp, what):
+    # finite parameters whose states overflow: the values were written as inf and nan
+    with pytest.raises(FloatingPointError, match=f"^non-finite {what}$"):
+        _RUNS[run](bp)
+
+
 # -- independent oracle: the whole fine noise matrix in memory, summed in one call
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -234,7 +257,7 @@ def _in_memory_study(bp, dts, n_paths, master_seed, t_end):
     """
     dts = np.asarray(sorted(set(dts), reverse=True))
     n_fine = int(round(t_end / dts[-1]))
-    dw_fine = rng.normals(master_seed, range(n_paths), n_fine)
+    dw_fine = normals(master_seed, range(n_paths), n_fine)
     dw_fine *= math.sqrt(dts[-1])
     x_exact_end = bilinear.exact_path(bp, np.full(n_paths, t_end), dw_fine.sum(axis=1))
     errors = np.empty(dts.size)

@@ -974,6 +974,11 @@ def _small(command, **changes):
         ("simulate", _small("simulate", x0=[0.5, 1.5]), {}, "x0"),
         ("certify", _small("certify", grid_n=99), {}, "grid_n"),
         ("certify", 5, {}, "certify"),
+        # past generator.MAX_STEPS: np.logspace and np.linspace raised an IndexError at these sizes
+        ("certify", _small("certify", grid_n=2**63 - 1), {}, "grid_n"),
+        ("certify", _small("certify", grid_n=2**63), {}, "grid_n"),
+        ("sweep", _small("sweep", B_values={"start": 0, "stop": 1, "count": 2**63 - 1}), {}, "count"),
+        ("sweep", _small("sweep", B_values={"start": 0, "stop": 1, "count": 2**63}), {}, "count"),
     ],
 )
 def test_bad_key_is_refused_before_any_output(tmp_path, command, block, top, key, capsys):
@@ -1003,6 +1008,75 @@ def test_output_names_are_file_names_in_out(tmp_path, command, key, value, capsy
     assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f'error: {command} "{key}" must ')
     assert not out.exists()
+
+
+def _assert_no_output(out):
+    """Neither ``out`` nor a stage of the run is left in the parent of ``out``."""
+    assert not out.exists()
+    assert not [p.name for p in out.parent.iterdir() if ".partial-" in p.name]
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("density", "prefix", "a\0b"),
+        ("density", "prefix", "x" * 300),
+        ("simulate", "output", "a\0b"),
+        ("examples", "prefix", "x" * 300),
+        ("certify", "output", "a\0b"),
+    ],
+    ids=["density-nul", "density-long", "simulate-nul", "examples-long", "certify-nul"],
+)
+def test_a_name_no_file_system_takes_leaves_no_output(tmp_path, command, key, value, capsys):
+    # the field table passes these names; the first write refuses them after all the work
+    body = {"params": REF_PARAMS, command: _small(command, **{key: value})}
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("embedded null byte" in err or "File name too long" in err)
+    _assert_no_output(out)
+
+
+def test_a_write_that_fails_after_another_leaves_no_output(tmp_path, monkeypatch, capsys):
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    # density writes its transient, then its stationary density
+    monkeypatch.setattr("flexfunc.cli.write_stationary_csv", disk_full)
+    body = {"params": REF_PARAMS, "density": _small("density", write=["transient", "stationary"])}
+    out = tmp_path / "out"
+    assert main(["density", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    _assert_no_output(out)
+
+
+def test_an_exception_main_does_not_handle_still_leaves_no_output(tmp_path, monkeypatch):
+    def bug(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("flexfunc.cli.write_stationary_csv", bug)
+    body = {"params": REF_PARAMS, "density": _small("density", write=["transient", "stationary"])}
+    out = tmp_path / "out"
+    with pytest.raises(KeyError):
+        main(["density", "--config", cfg_file(tmp_path, body), "--out", str(out)])
+    _assert_no_output(out)
+
+
+def test_outputs_merge_into_an_existing_out_and_create_its_parents(tmp_path):
+    body = {"params": REF_PARAMS, "sweep": _small("sweep", output="w.csv")}
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["sweep", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 0
+    (out / "w.csv").write_text("old\n")
+    (out / "keep.txt").write_text("keep\n")
+    assert main(["sweep", "--config", cfg_file(tmp_path, body), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "w.csv"]  # no stage is left in --out
+    assert (out / "w.csv").read_text().startswith("u,B,mean,var,gap\n")
+    # a failed run leaves an existing --out as it was, and creates no parent
+    failing = {"params": REF_PARAMS, "sweep": _small("sweep", output="a\0b")}
+    assert main(["sweep", "--config", cfg_file(tmp_path, failing), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "w.csv"]
+    assert main(["sweep", "--config", cfg_file(tmp_path, failing), "--out", str(tmp_path / "c" / "out")]) == 2
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1149,16 @@ _TIME_GRID_OVERFLOWS = {
 }
 
 
+_STABLE, _UNSTABLE = {"r1": 1.0, "r2": -1.2, "x0": 1.0}, {"r1": 1.0, "r2": 2.0, "x0": 1.0}  # fig3's systems
+_OVERFLOWING_SYSTEMS = {
+    # the study runs system 1; every system's mean and paths are written
+    "system1-r1": ([dict(_STABLE, r1=-1e308), _UNSTABLE], "non-finite strong error"),
+    "system1-x0": ([dict(_STABLE, x0=-1e308), _UNSTABLE], "non-finite strong error"),
+    "system2-r1": ([_STABLE, dict(_UNSTABLE, r1=-1e308)], "non-finite mean path"),
+    "system2-x0": ([_STABLE, dict(_UNSTABLE, x0=-1e308)], "non-finite mean path"),
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs the console script
 @pytest.mark.parametrize(
     "command,C,block,message",
@@ -1120,9 +1204,14 @@ _TIME_GRID_OVERFLOWS = {
             "examples", REF_PARAMS["C"], _small("examples", convergence={"dts": [2e-15, 1e-15], "n_paths": 2}),
             "the finest dt 1e-15 takes 1e+15 steps to t_end = 1.0, more than the limit of 1e+07",
         ),
+        # finite toy systems whose states overflow, which were written as inf and nan with exit 0
+        *[
+            ("examples", REF_PARAMS["C"], _small("examples", systems=systems), message)
+            for systems, message in _OVERFLOWING_SYSTEMS.values()
+        ],
     ],
     ids=["ode", "sde", *_GENERATOR_RUNS, "certify", "density-steps", *_TIME_GRID_OVERFLOWS, "examples",
-         "density-step-limit", "examples-step-limit"],
+         "density-step-limit", "examples-step-limit", *_OVERFLOWING_SYSTEMS],
 )
 def test_numerical_failure_exits_3_before_any_output(tmp_path, command, C, block, message, capsys):
     body = {"params": dict(REF_PARAMS, C=C), command: block}
@@ -1458,7 +1547,10 @@ _FUZZ_BASES = {
     },
 }
 _DELETE = object()
-_FUZZ_VALUES = [_DELETE, None, True, "x", [], {}, [None], _NAN, float("inf"), float("-inf"), 0, -1, 0.5]
+_FUZZ_VALUES = [
+    _DELETE, None, True, "x", [], {}, [None], _NAN, float("inf"), float("-inf"), 0, -1, 0.5,
+    "a\0b", "x" * 300, "", "..",  # names: ones no file system takes, an empty one, the parent
+]
 
 
 def _leaf_paths(node, path=()):
@@ -1493,5 +1585,9 @@ def test_mutated_config_never_escapes_main(command_and_body):
     command, body = command_and_body
     with tempfile.TemporaryDirectory() as tmp:
         cfg = cfg_file(Path(tmp), body)
-        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2, 3)
+        out = Path(tmp) / "out"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert not out.exists()
+        assert not [p.name for p in Path(tmp).iterdir() if ".partial-" in p.name]

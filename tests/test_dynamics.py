@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from flexfunc import bilinear, dynamics, equilibria, model, rng
 from flexfunc.dynamics import Ensemble, Schedule
 from flexfunc.model import FlexParams, reference_params
-from strategies import admissible_params
+from strategies import admissible_params, normals
 
 TILE = rng._TILE
 
@@ -359,7 +359,7 @@ def test_path_normals_contract():
     [
         lambda: rng.path_normals(1, 2**64, 4),
         lambda: rng.path_normals(1, -1, 4),
-        lambda: rng.normals(1, [2**64], 3),
+        lambda: normals(1, [2**64], 3),
         lambda: next(rng.normal_blocks(1, range(2**64 - 1, 2**64 + 1), 4, 2)),
     ],
     ids=["path_normals-2**64", "path_normals-minus-1", "normals-2**64", "normal_blocks-past-2**64"],
@@ -371,7 +371,7 @@ def test_a_bad_path_index_is_blamed_not_the_seed(draw):
 
 @pytest.mark.parametrize(
     "draw",
-    [lambda: rng.path_normals(-1, 3, 4), lambda: rng.normals(2**64, [3], 3)],
+    [lambda: rng.path_normals(-1, 3, 4), lambda: normals(2**64, [3], 3)],
     ids=["path_normals-minus-1", "normals-2**64"],
 )
 def test_a_bad_seed_is_blamed_as_the_seed(draw):
@@ -385,7 +385,7 @@ def test_path_stream_drawn_in_blocks_matches_one_draw(seed, path):
     for rows in (1, 64, 872, 1000, 2000, 2001):
         blocks = rng.normal_blocks(seed, range(path, path + 1), 2000, rows)
         assert np.concatenate(list(blocks))[:, 0].tobytes() == whole.tobytes(), rows
-    assert rng.normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
+    assert normals(seed, [path, 3], 2000)[0].tobytes() == whole.tobytes()
     # the draws are column path % 64 of numpy's standard normals on the
     # Philox stream of the tile's key, drawn 64 per step
     key = np.array([seed, path // TILE], dtype=np.uint64)
@@ -410,7 +410,7 @@ def test_a_walk_builds_one_stream_per_tile_it_touches(paths, n_tiles):
     first = paths.start // TILE
     assert [c.args for c in built.call_args_list] == [(11, t) for t in range(first, first + n_tiles)]
     # the columns are the whole-matrix reference draws of the same paths
-    assert np.concatenate(blocks).tobytes() == rng.normals(11, paths, 70).T.tobytes()
+    assert np.concatenate(blocks).tobytes() == normals(11, paths, 70).T.tobytes()
 
 
 @pytest.mark.parametrize("paths", [range(0, 10, 2), range(5, 0, -1), range(0), range(7, 7), range(9, 3)])

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from flexfunc import dynamics, model, rng
 from flexfunc.dynamics import Schedule, simulate_sde
 from flexfunc.model import reference_params
+from strategies import normals
 
 CHUNK = dynamics._CHUNK
 X0 = 0.3  # the mean of a column of X0s is not X0 in the last bits
@@ -23,7 +24,7 @@ DT = 0.01
 def full_state_em(params, x0, schedule, n_paths, seed, dt, t_end):
     """Every state of every path in one matrix, advanced one step at a time."""
     times = dynamics.time_grid(dt, t_end)
-    z = rng.normals(seed, range(n_paths), len(times) - 1)
+    z = normals(seed, range(n_paths), len(times) - 1)
     seg = np.searchsorted(schedule.breakpoints, times[:-1], side="right") - 1
     g = np.array([model.price_response(params, u) for u in schedule.u_values])[seg]
     B = np.array(schedule.B_values)[seg]
